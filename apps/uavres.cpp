@@ -2,10 +2,10 @@
 //
 //   uavres fly [mission] [--seed N]
 //   uavres inject [mission] [target] [type] [duration] [--seed N]
-//   uavres campaign [--missions N] [--durations 2,5,10,30] [--threads N] [--batch N]
+//   uavres campaign [--missions N] [--durations 2,5,10,30] [--threads N]
 //   uavres fleet [--scenario convoy|valencia] [--drones N] [--fault tgt:type:dur]
 //                [--faulted-drone K] [--recovery on] [--relaunch-horizon S]
-//                [--threads N] [--batch N] [--oracle] [--cache-dir DIR]
+//                [--threads N] [--oracle] [--cache-dir DIR]
 //   uavres convoy [--spacing M] [--drones N]
 //   uavres export [mission] [file.csv] [--rate HZ]
 //   uavres record [mission] [file.uvrl] [--rate HZ] [--target acc|gyro|imu
@@ -51,7 +51,6 @@
 #include "uav/bus_replay.h"
 #include "uav/simulation_runner.h"
 #include "uspace/fleet_experiment.h"
-#include "uspace/multi_runner.h"
 
 namespace {
 
@@ -238,8 +237,7 @@ int CmdCampaign(const app::CommandLine& cl) {
   const api::CampaignConfig env = api::CampaignConfig::FromEnvironment();
   api::CampaignConfig::Builder builder(env);
   builder.Missions(cl.FlagInt("missions", env.mission_limit))
-      .Threads(cl.FlagInt("threads", env.num_threads))
-      .Batch(cl.FlagInt("batch", env.batch_size));
+      .Threads(cl.FlagInt("threads", env.num_threads));
   if (const auto d = cl.Flag("durations")) {
     const auto list = app::ParseDoubleList(*d);
     if (!list.empty()) builder.Durations(list);
@@ -316,14 +314,15 @@ int CmdConvoy(const app::CommandLine& cl) {
   const double spacing = cl.FlagDouble("spacing", 15.0);
   const int drones = cl.FlagInt("drones", 3);
   const auto fleet = uspace::BuildConvoyScenario(drones, spacing);
-  uspace::MultiRunConfig cfg;
+  uspace::FleetRunConfig cfg;
+  cfg.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
   core::FaultSpec fault;
   fault.target = core::FaultTarget::kAccelerometer;
   fault.type = core::FaultType::kFixed;
   fault.duration_s = 30.0;
   cfg.fault = fault;
   cfg.faulted_drone = drones / 2;
-  const auto out = uspace::MultiUavRunner(cfg).Run(fleet, 2024);
+  const auto out = uspace::FleetRunner(cfg).Run(fleet, 2024);
   for (const auto& d : out.drones) {
     std::printf("%-10s %-10s %7.1f s\n", d.name.c_str(), core::ToString(d.outcome),
                 d.flight_duration_s);
@@ -659,7 +658,6 @@ int CmdFleet(const app::CommandLine& cl) {
 
   uspace::FleetCampaignConfig cfg;
   cfg.knobs.num_threads = cl.FlagInt("threads", 0);
-  cfg.knobs.batch_size = cl.FlagInt("batch", cfg.knobs.batch_size);
   if (cl.Flag("broadphase").value_or("grid") == "brute") {
     cfg.knobs.broadphase = uspace::BroadphaseMode::kBruteForce;
   }
@@ -730,35 +728,24 @@ int CmdFleet(const app::CommandLine& cl) {
                  static_cast<unsigned long long>(cs.stores));
   }
 
-  // --oracle: cross-check the batched engine against the scalar runner and
-  // the grid broadphase against brute force on this exact experiment.
+  // --oracle: re-run the experiment on one thread with the brute-force
+  // broadphase — the independent check on both the parallel schedule and
+  // the grid broadphase.
   if (cl.HasFlag("oracle")) {
-    if (spec.relaunch_horizon_s > 0.0) {
-      std::fprintf(stderr, "fleet: --oracle requires relaunch off "
-                           "(the scalar runner has no traffic model)\n");
-      return 2;
+    uspace::FleetExecutionKnobs knobs;
+    knobs.num_threads = 1;
+    knobs.broadphase = uspace::BroadphaseMode::kBruteForce;
+    const telemetry::FleetRecord ref = uspace::RunFleetExperiment(spec, knobs);
+    bool ok = ref.drones.size() == rec.drones.size() && ref.conflicts == rec.conflicts &&
+              ref.alerts == rec.alerts &&
+              ref.instants_in_conflict == rec.instants_in_conflict &&
+              ref.reports_published == rec.reports_published &&
+              ref.reports_dropped == rec.reports_dropped;
+    for (std::size_t i = 0; ok && i < ref.drones.size(); ++i) {
+      ok = ref.drones[i].outcome == rec.drones[i].outcome &&
+           ref.drones[i].flight_duration_s == rec.drones[i].flight_duration_s;
     }
-    const auto fleet_specs = uspace::BuildFleetScenario(spec);
-    uspace::MultiRunConfig mcfg;
-    mcfg.tracking_interval_s = spec.tracking_interval_s;
-    mcfg.extra_time_s = spec.extra_time_s;
-    mcfg.link.drop_probability = spec.drop_probability;
-    mcfg.link.delay_s = spec.link_delay_s;
-    mcfg.fault = spec.fault;
-    mcfg.faulted_drone = spec.faulted_drone;
-    mcfg.recovery = spec.recovery;
-    const auto scalar = uspace::MultiUavRunner(mcfg).Run(fleet_specs, spec.seed_base);
-    bool ok = scalar.drones.size() == rec.drones.size() &&
-              scalar.conflicts.conflicts == rec.conflicts &&
-              scalar.conflicts.alerts == rec.alerts &&
-              scalar.conflicts.instants_in_conflict == rec.instants_in_conflict &&
-              scalar.reports_published == rec.reports_published &&
-              scalar.reports_dropped == rec.reports_dropped;
-    for (std::size_t i = 0; ok && i < scalar.drones.size(); ++i) {
-      ok = static_cast<int>(scalar.drones[i].outcome) == rec.drones[i].outcome &&
-           scalar.drones[i].flight_duration_s == rec.drones[i].flight_duration_s;
-    }
-    std::printf("oracle     : scalar MultiUavRunner %s\n",
+    std::printf("oracle     : one-thread brute-force run %s\n",
                 ok ? "MATCH (outcomes, durations, conflict stats)" : "MISMATCH");
     if (!ok) return 1;
   }
@@ -847,8 +834,8 @@ const Command kCommands[] = {
      "       [duration_s] [--seed N] [--magnitude X]",
      "inject one fault against its gold reference", "", CmdInject},
     {"campaign",
-     "[--missions N] [--durations 2,5,10,30] [--threads N] [--batch N]\n"
-     "       [--cache-dir DIR] [--no-cache] [--cache-stats] [--recovery on|off]",
+     "[--missions N] [--durations 2,5,10,30] [--threads N] [--cache-dir DIR]\n"
+     "       [--no-cache] [--cache-stats] [--recovery on|off]",
      "run the grid, print Tables II-IV",
      "Completed runs persist to the cache (also via UAVRES_CACHE_DIR) so an\n"
      "interrupted campaign resumes. --recovery on adds the IMU-fault detector\n"
@@ -882,17 +869,18 @@ const Command kCommands[] = {
      "[--scenario convoy|valencia] [--drones N] [--spacing M] [--speed KMH]\n"
      "       [--leg M] [--fault acc|gyro|imu:type:duration] [--faulted-drone K]\n"
      "       [--recovery on|off] [--drop P] [--delay S] [--relaunch-horizon S]\n"
-     "       [--seed N] [--threads N] [--batch N] [--broadphase grid|brute]\n"
+     "       [--seed N] [--threads N] [--broadphase grid|brute]\n"
      "       [--oracle] [--no-baseline] [--cache-dir DIR] [--no-cache]",
-     "fleet-scale airspace experiment on the batched engine",
-     "Runs N drones through the batched fleet engine (grouped SoA stepping on\n"
-     "the work-stealing scheduler, uniform-grid conflict broadphase) and\n"
+     "fleet-scale airspace experiment",
+     "Runs N drones, one vehicle each, stepped per tracking interval on the\n"
+     "work-stealing scheduler with a uniform-grid conflict broadphase, and\n"
      "reports systemic impact vs the fault-free baseline: conflict/alert\n"
      "counts, cascade size, min-separation distribution and airspace\n"
-     "throughput. --relaunch-horizon S keeps the airspace full by refilling\n"
+     "throughput. --relaunch-horizon S keeps the airspace full by relaunching\n"
      "ended flights until T=S (continuous traffic). Results are cached by\n"
-     "fleet spec (also via UAVRES_CACHE_DIR). --oracle cross-checks the run\n"
-     "against the scalar MultiUavRunner bit-for-bit. See DESIGN.md §18.",
+     "fleet spec (also via UAVRES_CACHE_DIR). --oracle re-runs the spec on\n"
+     "one thread with the brute-force broadphase and checks that outcomes,\n"
+     "durations and conflict stats match. See DESIGN.md §18.",
      CmdFleet},
     {"convoy", "[--spacing M] [--drones N]", "multi-UAV U-space conflict demo", "",
      CmdConvoy},

@@ -9,7 +9,7 @@
 // complement of the per-drone Tables II-IV.
 #include <cstdio>
 
-#include "uspace/multi_runner.h"
+#include "uspace/fleet_runner.h"
 
 int main() {
   using namespace uavres;
@@ -18,10 +18,12 @@ int main() {
   const auto fleet = uspace::BuildConvoyScenario(3, lane_spacing);
   std::printf("Convoy: 3 drones, %.0f m lanes, %.0f km/h, faults on the middle drone\n\n",
               lane_spacing, fleet[0].cruise_speed_kmh);
+  uspace::FleetRunConfig base;
+  base.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
 
   // Reference.
   {
-    const auto out = uspace::MultiUavRunner{}.Run(fleet, 2024);
+    const auto out = uspace::FleetRunner(base).Run(fleet, 2024);
     std::printf("%-18s %10s %8s %8s %14s %12s\n", "fault", "outcome", "confl", "alerts",
                 "min sep [m]", "quarantined");
     std::printf("%-18s %10s %8d %8d %14.1f %12d\n", "none (gold)", "completed",
@@ -32,14 +34,14 @@ int main() {
   int faults_causing_conflicts = 0;
   for (core::FaultTarget target : core::kAllFaultTargets) {
     for (core::FaultType type : core::kAllFaultTypes) {
-      uspace::MultiRunConfig cfg;
+      uspace::FleetRunConfig cfg = base;
       core::FaultSpec fault;
       fault.target = target;
       fault.type = type;
       fault.duration_s = 30.0;
       cfg.fault = fault;
       cfg.faulted_drone = 1;
-      const auto out = uspace::MultiUavRunner(cfg).Run(fleet, 2024);
+      const auto out = uspace::FleetRunner(cfg).Run(fleet, 2024);
       std::printf("%-18s %10s %8d %8d %14.1f %12d\n",
                   core::FaultLabel(target, type).c_str(),
                   core::ToString(out.drones[1].outcome), out.conflicts.conflicts,

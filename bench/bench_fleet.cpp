@@ -2,12 +2,12 @@
 //
 // Two measurements back the fleet engine's claims (DESIGN.md §18):
 //
-//   1. Drone-steps/sec at N drones: the scalar MultiUavRunner loop vs the
-//      FleetRunner (grouped SoA batches on the work-stealing scheduler).
-//      Both runs step the identical fleet, so the speedup is a pure wall
-//      ratio — and the outputs must match bit-for-bit (oracle_ok), which is
-//      what licenses comparing them at all. The >=5x headline needs cores;
-//      compare_bench.py gates it only when the recorded machine has them.
+//   1. Drone-steps/sec at N drones: FleetRunner on one thread vs on every
+//      thread. Both runs step the identical fleet, so the speedup is a pure
+//      wall ratio, and their serialized FleetRecords must be byte-identical
+//      (oracle_ok), which is what licenses comparing them at all. The >=5x
+//      thread-scaling headline needs cores; compare_bench.py gates it only
+//      when the recorded machine has them.
 //
 //   2. Conflict-evaluation throughput: the exhaustive all-pairs detector vs
 //      the uniform-grid broadphase on a synthetic N-drone airspace, with the
@@ -18,13 +18,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "math/rng.h"
-#include "uspace/fleet_runner.h"
-#include "uspace/multi_runner.h"
+#include "telemetry/fleet_codec.h"
+#include "uspace/fleet_experiment.h"
 #include "uspace/tracking.h"
 
 // Injected by bench/CMakeLists.txt; part of the JSON environment block.
@@ -42,19 +43,30 @@ double Now() {
       .count();
 }
 
-/// Total simulated drone-steps of a run: sum of per-flight durations over
-/// the shared control dt. Bit-identical outputs make this identical for the
-/// scalar and batched engines, so steps/sec ratios are wall ratios.
-double TotalDroneSteps(const std::vector<double>& durations, double dt) {
-  double total = 0.0;
-  for (double d : durations) total += d / dt;
-  return total;
-}
-
+/// One timed fleet run: its wall time, simulated drone-steps (per-flight
+/// duration times the control rate) and serialized record.
 struct FleetMeasurement {
   double wall_s{0.0};
-  double steps_per_sec{0.0};
+  double drone_steps{0.0};
+  std::string record;
 };
+
+FleetMeasurement TimeFleet(const core::FleetExperimentSpec& spec, int threads) {
+  const auto fleet = uspace::BuildFleetScenario(spec);
+  uspace::FleetExecutionKnobs knobs;
+  knobs.num_threads = threads;
+  const uspace::FleetRunner runner(uspace::MakeFleetRunConfig(spec, knobs));
+  FleetMeasurement m;
+  const double t0 = Now();
+  const auto out = runner.Run(fleet, spec.seed_base);
+  m.wall_s = Now() - t0;
+  const double rate_hz = uav::UavConfig{}.control_rate_hz;
+  for (const auto& d : out.drones) m.drone_steps += d.flight_duration_s * rate_hz;
+  std::ostringstream os;
+  telemetry::WriteFleetRecord(os, uspace::ToFleetRecord(spec, out));
+  m.record = os.str();
+  return m;
+}
 
 // --- Broadphase micro-bench ------------------------------------------------
 
@@ -147,56 +159,31 @@ int main(int argc, char** argv) {
     else if (a == "--out") out_path = argv[++i];
   }
 
-  const auto fleet = uspace::BuildConvoyScenario(drones, 30.0, 12.0, leg_m);
+  core::FleetExperimentSpec spec;
+  spec.num_drones = drones;
+  spec.leg_length_m = leg_m;
   core::FaultSpec fault;
   fault.target = core::FaultTarget::kAccelerometer;
   fault.type = core::FaultType::kFixed;
   fault.duration_s = 30.0;
+  spec.fault = fault;
+  spec.faulted_drone = drones / 2;
 
   std::printf("fleet bench: %d drones, %.0f m legs\n", drones, leg_m);
 
-  // Scalar reference (the pre-fleet engine).
-  uspace::MultiRunConfig mcfg;
-  mcfg.fault = fault;
-  mcfg.faulted_drone = drones / 2;
-  double t0 = Now();
-  const auto scalar = uspace::MultiUavRunner(mcfg).Run(fleet, 2024);
-  FleetMeasurement sm;
-  sm.wall_s = Now() - t0;
-  const double dt = 1.0 / 250.0;
-  std::vector<double> durations;
-  for (const auto& d : scalar.drones) durations.push_back(d.flight_duration_s);
-  const double steps = TotalDroneSteps(durations, dt);
-  sm.steps_per_sec = steps / sm.wall_s;
-  std::printf("  scalar : %8.2f s wall, %.0f drone-steps (%.3g steps/s)\n", sm.wall_s,
-              steps, sm.steps_per_sec);
+  const FleetMeasurement one = TimeFleet(spec, 1);
+  const double one_rate = one.drone_steps / one.wall_s;
+  std::printf("  1 thread : %8.2f s wall, %.0f drone-steps (%.3g steps/s)\n", one.wall_s,
+              one.drone_steps, one_rate);
+  const FleetMeasurement all = TimeFleet(spec, threads);
+  const double all_rate = all.drone_steps / all.wall_s;
+  const double speedup = one.wall_s / all.wall_s;
+  std::printf("  threads  : %8.2f s wall (%.3g steps/s, %.2fx)\n", all.wall_s, all_rate,
+              speedup);
 
-  // Batched fleet engine, full machine.
-  uspace::FleetRunConfig fcfg;
-  fcfg.fault = fault;
-  fcfg.faulted_drone = drones / 2;
-  fcfg.num_threads = threads;
-  t0 = Now();
-  const auto batched = uspace::FleetRunner(fcfg).Run(fleet, 2024);
-  FleetMeasurement fm;
-  fm.wall_s = Now() - t0;
-  fm.steps_per_sec = steps / fm.wall_s;
-  const double speedup = sm.wall_s / fm.wall_s;
-  std::printf("  fleet  : %8.2f s wall (%.3g steps/s, %.2fx)\n", fm.wall_s,
-              fm.steps_per_sec, speedup);
-
-  // Oracle: the batched run must reproduce the scalar one bit-for-bit.
-  bool oracle_ok = scalar.drones.size() == batched.drones.size() &&
-                   scalar.conflicts.conflicts == batched.conflicts.conflicts &&
-                   scalar.conflicts.alerts == batched.conflicts.alerts &&
-                   scalar.reports_published == batched.reports_published &&
-                   SameEvents(scalar.events, batched.events);
-  for (std::size_t i = 0; oracle_ok && i < scalar.drones.size(); ++i) {
-    oracle_ok = scalar.drones[i].outcome == batched.drones[i].outcome &&
-                scalar.drones[i].flight_duration_s ==
-                    batched.drones[i].flight_duration_s;
-  }
-  std::printf("  oracle : %s\n", oracle_ok ? "MATCH" : "MISMATCH");
+  // Oracle: the thread count must not change a single byte of the record.
+  const bool oracle_ok = one.record == all.record;
+  std::printf("  oracle   : %s\n", oracle_ok ? "MATCH" : "MISMATCH");
 
   // Broadphase: exhaustive vs uniform grid over the same synthetic airspace.
   const int bp_instants = 400;
@@ -231,7 +218,7 @@ int main(int argc, char** argv) {
                "  },\n"
                "  \"fleet\": {\n"
                "    \"drone_steps\": %.0f,\n"
-               "    \"scalar_steps_per_sec\": %.1f,\n"
+               "    \"one_thread_steps_per_sec\": %.1f,\n"
                "    \"fleet_steps_per_sec\": %.1f,\n"
                "    \"speedup\": %.3f,\n"
                "    \"oracle_ok\": %s\n"
@@ -246,7 +233,7 @@ int main(int argc, char** argv) {
                "  }\n"
                "}\n",
                UAVRES_BUILD_TYPE, std::thread::hardware_concurrency(), threads,
-               drones, leg_m, steps, sm.steps_per_sec, fm.steps_per_sec, speedup,
+               drones, leg_m, one.drone_steps, one_rate, all_rate, speedup,
                oracle_ok ? "true" : "false", bp_instants,
                static_cast<long long>(brute.pairs_evaluated), brute.pairs_per_sec,
                grid.pairs_per_sec, bp_speedup, events_match ? "true" : "false");

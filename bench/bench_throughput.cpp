@@ -6,23 +6,19 @@
 //
 //   1. Campaign throughput — wall time and runs/sec of the (optionally
 //      mission-limited) fault grid through the work-stealing scheduler,
-//      caching disabled so every run is computed. Measured twice: the scalar
-//      path (batch_size 1) and the batched lockstep path (--batch lanes per
-//      worker deal, default 8), reported as "campaign" / "campaign_batched".
+//      caching disabled so every run is computed ("campaign").
 //   2. Step latency — per-step wall latency of one gold flight stepping the
-//      Uav directly (p50/p99/mean in microseconds), plus the per-lane step
-//      latency of a BatchedUav fleet in cruise, plus a detector-enabled
-//      repeat of the scalar flight ("step_latency_detector") whose delta is
+//      Uav directly (p50/p99/mean in microseconds), plus a detector-enabled
+//      repeat of the same flight ("step_latency_detector") whose delta is
 //      the per-step cost of the IMU-fault detection + failover layer.
 //   3. Steady-state allocations — this binary replaces global operator
 //      new/delete with counting wrappers; after a warm-up the cruise phase
-//      of a gold flight must execute ZERO heap allocations per step, scalar
-//      AND batched. The same counter reports allocations per campaign run
-//      for context.
+//      of a gold flight must execute ZERO heap allocations per step. The
+//      same counter reports allocations per campaign run for context.
 //
 // Usage: bench_throughput [--missions N] [--threads N] [--durations a,b,...]
-//                         [--batch N] [--out FILE]
-// Env:   UAVRES_MISSIONS / UAVRES_THREADS / UAVRES_BATCH as usual (flags win).
+//                         [--out FILE]
+// Env:   UAVRES_MISSIONS / UAVRES_THREADS as usual (flags win).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -37,7 +33,6 @@
 #include "app/command_line.h"
 #include "core/campaign.h"
 #include "core/scenario.h"
-#include "uav/batched_uav.h"
 #include "uav/simulation_runner.h"
 #include "uav/uav.h"
 
@@ -157,57 +152,6 @@ StepStats MeasureSteps(bool detector = false) {
   return s;
 }
 
-struct BatchStepStats {
-  int lanes{0};
-  std::uint64_t steps{0};
-  std::uint64_t steady_allocs{0};
-  double allocs_per_step{0.0};
-  double p50_us_per_lane{0.0};
-  double mean_us_per_lane{0.0};
-};
-
-/// A gold fleet (mission 0, one seed per lane) stepped in lockstep through
-/// its cruise phase: per-LANE step latency (one BatchedUav::Step advances
-/// `lanes` vehicles) and the steady-state allocation count, which must be
-/// zero exactly like the scalar path.
-BatchStepStats MeasureBatchSteps(int lanes) {
-  const auto& fleet = core::SharedValenciaScenario();
-  const core::DroneSpec& spec = fleet[0];
-  uav::BatchedUav batch;
-  for (int l = 0; l < lanes; ++l) {
-    batch.AddLane(uav::MakeUavConfig(spec), spec.plan, std::nullopt,
-                  2024 + static_cast<std::uint64_t>(l));
-  }
-
-  constexpr std::uint64_t kWarm = 5000;
-  constexpr std::uint64_t kMeasure = 5000;
-  std::vector<double> lat_us;
-  lat_us.reserve(kMeasure);
-  for (std::uint64_t i = 0; i < kWarm; ++i) batch.Step();
-
-  const std::uint64_t allocs_before = AllocCount();
-  for (std::uint64_t i = 0; i < kMeasure; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    batch.Step();
-    const auto t1 = std::chrono::steady_clock::now();
-    lat_us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  const std::uint64_t steady_allocs = AllocCount() - allocs_before;
-
-  BatchStepStats s;
-  s.lanes = lanes;
-  s.steps = kMeasure;
-  s.steady_allocs = steady_allocs;
-  s.allocs_per_step = static_cast<double>(steady_allocs) / kMeasure;
-  std::vector<double> sorted = lat_us;
-  std::sort(sorted.begin(), sorted.end());
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  s.mean_us_per_lane = sum / static_cast<double>(sorted.size()) / lanes;
-  s.p50_us_per_lane = sorted[sorted.size() / 2] / lanes;
-  return s;
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -233,11 +177,9 @@ int main(int argc, char** argv) {
     if (!list.empty()) builder.Durations(list);
   }
   const core::CampaignConfig cfg = builder.Build();
-  const int batch_lanes = std::clamp(cl.FlagInt("batch", env.batch_size > 1 ? env.batch_size : 8),
-                                     2, uav::kMaxBatchLanes);
   const std::string out_path = cl.Flag("out").value_or("BENCH_campaign.json");
 
-  // --- 1a. Campaign throughput, scalar path. ---
+  // --- 1. Campaign throughput. ---
   const core::Campaign campaign(cfg);
   const std::uint64_t campaign_allocs_before = AllocCount();
   const auto t0 = std::chrono::steady_clock::now();
@@ -248,22 +190,9 @@ int main(int argc, char** argv) {
   const std::size_t runs = results.TotalRuns();
   const double runs_per_sec = runs > 0 && wall_s > 0.0 ? runs / wall_s : 0.0;
 
-  // --- 1b. Campaign throughput, batched lockstep path (same grid). ---
-  const core::CampaignConfig batched_cfg =
-      core::CampaignConfig::Builder(cfg).Batch(batch_lanes).Build();
-  const core::Campaign batched_campaign(batched_cfg);
-  const auto tb0 = std::chrono::steady_clock::now();
-  const auto batched_results = batched_campaign.Run();
-  const double batched_wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - tb0).count();
-  const std::size_t batched_runs = batched_results.TotalRuns();
-  const double batched_runs_per_sec =
-      batched_runs > 0 && batched_wall_s > 0.0 ? batched_runs / batched_wall_s : 0.0;
-
   // --- 2 + 3. Step latency and steady-state allocations. ---
   const StepStats steps = MeasureSteps();
   const StepStats detector_steps = MeasureSteps(/*detector=*/true);
-  const BatchStepStats batch_steps = MeasureBatchSteps(batch_lanes);
   const double detector_overhead_pct =
       steps.mean_us > 0.0
           ? 100.0 * (detector_steps.mean_us - steps.mean_us) / steps.mean_us
@@ -292,13 +221,6 @@ int main(int argc, char** argv) {
                "    \"mean_run_ms\": %.3f,\n"
                "    \"allocs_per_run\": %.1f\n"
                "  },\n"
-               "  \"campaign_batched\": {\n"
-               "    \"batch\": %d,\n"
-               "    \"runs\": %zu,\n"
-               "    \"wall_s\": %.3f,\n"
-               "    \"runs_per_sec\": %.4f,\n"
-               "    \"mean_run_ms\": %.3f\n"
-               "  },\n"
                "  \"step_latency_us\": {\n"
                "    \"p50\": %.3f,\n"
                "    \"p99\": %.3f,\n"
@@ -318,22 +240,12 @@ int main(int argc, char** argv) {
                "    \"heap_allocs\": %llu,\n"
                "    \"allocs_per_step\": %.6f\n"
                "  },\n"
-               "  \"steady_state_batched\": {\n"
-               "    \"lanes\": %d,\n"
-               "    \"steps\": %llu,\n"
-               "    \"heap_allocs\": %llu,\n"
-               "    \"allocs_per_step\": %.6f,\n"
-               "    \"p50_us_per_lane_step\": %.3f,\n"
-               "    \"mean_us_per_lane_step\": %.3f\n"
-               "  },\n"
                "  \"out\": \"%s\"\n"
                "}\n",
                UAVRES_BUILD_TYPE, std::thread::hardware_concurrency(), cfg.num_threads,
                campaign.fleet().size(), cfg.durations.size(), runs, wall_s,
                runs_per_sec, runs > 0 ? 1000.0 * wall_s / runs : 0.0,
                runs > 0 ? static_cast<double>(campaign_allocs) / runs : 0.0,
-               batch_lanes, batched_runs, batched_wall_s, batched_runs_per_sec,
-               batched_runs > 0 ? 1000.0 * batched_wall_s / batched_runs : 0.0,
                steps.p50_us, steps.p99_us, steps.mean_us,
                static_cast<unsigned long long>(steps.steps),
                detector_steps.p50_us, detector_steps.p99_us, detector_steps.mean_us,
@@ -342,40 +254,25 @@ int main(int argc, char** argv) {
                detector_overhead_pct,
                static_cast<unsigned long long>(steps.steady_steps),
                static_cast<unsigned long long>(steps.steady_allocs),
-               steps.steady_allocs_per_step, batch_steps.lanes,
-               static_cast<unsigned long long>(batch_steps.steps),
-               static_cast<unsigned long long>(batch_steps.steady_allocs),
-               batch_steps.allocs_per_step, batch_steps.p50_us_per_lane,
-               batch_steps.mean_us_per_lane, JsonEscape(out_path).c_str());
+               steps.steady_allocs_per_step, JsonEscape(out_path).c_str());
   std::fclose(f);
 
   std::printf("campaign   : %zu runs in %.2fs  (%.2f runs/sec, %.1f ms/run)\n", runs,
               wall_s, runs_per_sec, runs > 0 ? 1000.0 * wall_s / runs : 0.0);
-  std::printf("batched    : %zu runs in %.2fs  (%.2f runs/sec, %.1f ms/run, batch %d)\n",
-              batched_runs, batched_wall_s, batched_runs_per_sec,
-              batched_runs > 0 ? 1000.0 * batched_wall_s / batched_runs : 0.0,
-              batch_lanes);
   std::printf("step       : p50 %.2fus  p99 %.2fus  mean %.2fus  (%llu steps)\n",
               steps.p50_us, steps.p99_us, steps.mean_us,
               static_cast<unsigned long long>(steps.steps));
   std::printf("detector   : p50 %.2fus  p99 %.2fus  mean %.2fus  (%+.1f%% overhead)\n",
               detector_steps.p50_us, detector_steps.p99_us, detector_steps.mean_us,
               detector_overhead_pct);
-  std::printf("batch step : p50 %.2fus/lane  mean %.2fus/lane  (%d lanes, %llu steps)\n",
-              batch_steps.p50_us_per_lane, batch_steps.mean_us_per_lane,
-              batch_steps.lanes, static_cast<unsigned long long>(batch_steps.steps));
   std::printf("steady     : %llu allocs over %llu steps (%.6f allocs/step)\n",
               static_cast<unsigned long long>(steps.steady_allocs),
               static_cast<unsigned long long>(steps.steady_steps),
               steps.steady_allocs_per_step);
-  std::printf("batch stdy : %llu allocs over %llu steps x %d lanes\n",
-              static_cast<unsigned long long>(batch_steps.steady_allocs),
-              static_cast<unsigned long long>(batch_steps.steps), batch_steps.lanes);
   std::printf("json       : %s\n", out_path.c_str());
 
   // The zero-allocation hot path is an acceptance criterion, not a soft
-  // metric: fail loudly the moment a per-step allocation sneaks back in —
-  // scalar or batched.
+  // metric: fail loudly the moment a per-step allocation sneaks back in.
   if (steps.steady_allocs != 0) {
     std::fprintf(stderr,
                  "bench_throughput: FAIL — steady-state flight performed %llu heap "
@@ -388,13 +285,6 @@ int main(int argc, char** argv) {
                  "bench_throughput: FAIL — detector-enabled steady-state flight "
                  "performed %llu heap allocations (expected 0)\n",
                  static_cast<unsigned long long>(detector_steps.steady_allocs));
-    return 1;
-  }
-  if (batch_steps.steady_allocs != 0) {
-    std::fprintf(stderr,
-                 "bench_throughput: FAIL — steady-state batched flight performed %llu "
-                 "heap allocations (expected 0)\n",
-                 static_cast<unsigned long long>(batch_steps.steady_allocs));
     return 1;
   }
   return 0;

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "uspace/multi_runner.h"
+#include "uspace/fleet_runner.h"
 
 int main(int argc, char** argv) {
   using namespace uavres;
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   std::printf("Convoy: %zu drones, %.0f m lanes, %.0f km/h\n\n", fleet.size(), spacing,
               fleet[0].cruise_speed_kmh);
 
-  auto report = [](const char* label, const uspace::MultiRunOutput& out) {
+  auto report = [](const char* label, const uspace::FleetRunOutput& out) {
     std::printf("%s\n", label);
     for (const auto& d : out.drones) {
       std::printf("  %-10s %-10s %7.1f s\n", d.name.c_str(), core::ToString(d.outcome),
@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
     if (!out.events.empty()) std::printf("\n");
   };
 
-  uspace::MultiRunConfig clean;
-  report("=== fault-free convoy ===", uspace::MultiUavRunner(clean).Run(fleet, 2024));
+  uspace::FleetRunConfig clean;
+  clean.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
+  report("=== fault-free convoy ===", uspace::FleetRunner(clean).Run(fleet, 2024));
 
-  uspace::MultiRunConfig faulted = clean;
+  uspace::FleetRunConfig faulted = clean;
   core::FaultSpec fault;
   fault.target = core::FaultTarget::kAccelerometer;
   fault.type = core::FaultType::kFixed;  // constant bias -> hard lateral dash
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   faulted.fault = fault;
   faulted.faulted_drone = 1;  // middle lane
   report("=== Acc Fixed Value 30 s on the middle drone ===",
-         uspace::MultiUavRunner(faulted).Run(fleet, 2024));
+         uspace::FleetRunner(faulted).Run(fleet, 2024));
 
   std::puts("Interpretation: the two-layer bubbles act as separation minima; an");
   std::puts("IMU fault on one drone turns into conflicts with *other* traffic —");

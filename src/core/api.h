@@ -12,7 +12,7 @@
 //   * api::RunConfig       — HOW one run is harnessed: tracking cadence,
 //     bubble risk factor, recording, the recovery axis.
 //   * api::CampaignConfig  — HOW a grid executes: durations, threads,
-//     batch lanes, cache directory. Construct via CampaignConfig::Builder.
+//     cache directory. Construct via CampaignConfig::Builder.
 //
 // ## Schema versioning (api::kSpecSchemaVersion)
 //

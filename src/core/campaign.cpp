@@ -1,7 +1,5 @@
 #include "core/campaign.h"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -71,17 +69,6 @@ CampaignConfig CampaignConfig::FromEnvironment() {
                                                std::string(threads) + "'");
     }
   }
-  if (const char* batch = std::getenv("UAVRES_BATCH")) {
-    const int n = std::atoi(batch);
-    if (n >= 1 && n <= uav::kMaxBatchLanes) {
-      cfg.batch_size = n;
-    } else {
-      WarnIneffectiveEnv("UAVRES_BATCH",
-                         "expects a lane count in [1, " +
-                             std::to_string(uav::kMaxBatchLanes) + "], got '" +
-                             std::string(batch) + "'");
-    }
-  }
   if (const char* cache = std::getenv("UAVRES_CACHE_DIR")) {
     if (cache[0] != '\0') {
       cfg.cache_dir = cache;
@@ -122,10 +109,6 @@ std::optional<std::string> CampaignConfig::Validate() const {
   }
   if (!(injection_start_s >= 0.0)) {
     return "injection_start_s must be >= 0, got " + std::to_string(injection_start_s);
-  }
-  if (batch_size < 1 || batch_size > uav::kMaxBatchLanes) {
-    return "batch_size must be in [1, " + std::to_string(uav::kMaxBatchLanes) +
-           "], got " + std::to_string(batch_size);
   }
   return std::nullopt;
 }
@@ -231,11 +214,9 @@ CampaignResults Campaign::Run(
         sched);
   }
 
-  // Phase 2: faulty runs, flat (mission, fault) grid, dealt to workers in
-  // batches of cfg_.batch_size lockstep lanes (1 = the scalar path; outputs
-  // are byte-identical either way). Metrics-only entries; each is persisted
-  // as its worker finishes (checkpointing), so a killed campaign resumes
-  // with only the missing runs recomputed.
+  // Phase 2: faulty runs, flat (mission, fault) grid. Metrics-only entries;
+  // each is persisted as its worker finishes (checkpointing), so a killed
+  // campaign resumes with only the missing runs recomputed.
   {
     UAVRES_TRACE_SCOPE("campaign/faulty-phase");
     const std::size_t n_jobs = results.faulty.size();
@@ -249,81 +230,26 @@ CampaignResults Campaign::Run(
     std::vector<double> costs(n_jobs);
     for (std::size_t j = 0; j < n_jobs; ++j) costs[j] = mission_cost[j / grid.size()];
 
-    if (cfg_.batch_size <= 1) {
-      ParallelFor(
-          n_jobs, costs,
-          [&](std::size_t j) {
-            UAVRES_TRACE_SCOPE("campaign/faulty-run");
-            const uav::ExperimentSpec espec = spec_for(j);
-            const std::uint64_t key = ExperimentCacheKey(faulty_cfg, espec);
-            if (auto cached = store.Load(key)) {
-              results.faulty[j] = cached->result;
-            } else {
-              // Per-worker scratch: RunInto clears but keeps buffer capacity,
-              // so each worker pays the output allocations once, not per run.
-              thread_local uav::RunOutput scratch;
-              faulty_runner.RunInto(espec, scratch);
-              results.faulty[j] = scratch.result;
-              if (store.enabled()) store.Store(key, {results.faulty[j], std::nullopt});
-            }
-            CountCampaignResult(results.faulty[j]);
-            report();
-          },
-          sched);
-    } else {
-      // Batched deal: each work item is up to batch_size consecutive grid
-      // jobs stepped in lockstep on one BatchedUav. A batch's scheduler cost
-      // is the sum of its lanes' costs (the whole batch occupies its worker
-      // until the longest lane retires).
-      const std::size_t batch = static_cast<std::size_t>(cfg_.batch_size);
-      const std::size_t n_batches = (n_jobs + batch - 1) / batch;
-      std::vector<double> batch_costs(n_batches, 0.0);
-      for (std::size_t j = 0; j < n_jobs; ++j) batch_costs[j / batch] += costs[j];
-      ParallelFor(
-          n_batches, batch_costs,
-          [&](std::size_t b) {
-            UAVRES_TRACE_SCOPE("campaign/faulty-batch");
-            const std::size_t begin = b * batch;
-            const std::size_t end = std::min(begin + batch, n_jobs);
-            // Per-worker scratch, one RunOutput PER LANE: every lane of a
-            // batch finalizes into its own output, so a single per-worker
-            // scratch would alias across lanes. RunBatchInto clears each
-            // lane's scratch but keeps its buffer capacity across batches.
-            thread_local std::array<uav::RunOutput, uav::kMaxBatchLanes> scratch;
-            std::array<uav::ExperimentSpec, uav::kMaxBatchLanes> specs;
-            std::array<std::size_t, uav::kMaxBatchLanes> jobs{};
-            std::array<std::uint64_t, uav::kMaxBatchLanes> keys{};
-            std::array<uav::RunOutput*, uav::kMaxBatchLanes> outs{};
-            std::size_t n_run = 0;
-            for (std::size_t j = begin; j < end; ++j) {
-              uav::ExperimentSpec espec = spec_for(j);
-              const std::uint64_t key = ExperimentCacheKey(faulty_cfg, espec);
-              if (auto cached = store.Load(key)) {
-                results.faulty[j] = cached->result;
-                continue;
-              }
-              jobs[n_run] = j;
-              keys[n_run] = key;
-              outs[n_run] = &scratch[n_run];
-              specs[n_run] = std::move(espec);
-              ++n_run;
-            }
-            if (n_run > 0) {
-              faulty_runner.RunBatchInto(specs.data(), n_run, outs.data());
-              for (std::size_t i = 0; i < n_run; ++i) {
-                results.faulty[jobs[i]] = scratch[i].result;
-                if (store.enabled()) {
-                  store.Store(keys[i], {results.faulty[jobs[i]], std::nullopt});
-                }
-              }
-            }
-            for (std::size_t j = begin; j < end; ++j) {
-              CountCampaignResult(results.faulty[j]);
-              report();
-            }
-          },
-          sched);
-    }
+    ParallelFor(
+        n_jobs, costs,
+        [&](std::size_t j) {
+          UAVRES_TRACE_SCOPE("campaign/faulty-run");
+          const uav::ExperimentSpec espec = spec_for(j);
+          const std::uint64_t key = ExperimentCacheKey(faulty_cfg, espec);
+          if (auto cached = store.Load(key)) {
+            results.faulty[j] = cached->result;
+          } else {
+            // Per-worker scratch: RunInto clears but keeps buffer capacity,
+            // so each worker pays the output allocations once, not per run.
+            thread_local uav::RunOutput scratch;
+            faulty_runner.RunInto(espec, scratch);
+            results.faulty[j] = scratch.result;
+            if (store.enabled()) store.Store(key, {results.faulty[j], std::nullopt});
+          }
+          CountCampaignResult(results.faulty[j]);
+          report();
+        },
+        sched);
   }
 
   results.cache = store.stats();

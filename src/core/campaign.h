@@ -32,12 +32,6 @@ struct CampaignConfig {
   double injection_start_s{kInjectionStartS};
   int num_threads{0};        ///< 0: hardware_concurrency
   int mission_limit{0};      ///< 0: all 10; N > 0: first N missions (dev mode)
-  /// Lanes per faulty-phase work item: workers are dealt batches of
-  /// `batch_size` experiments and step them in lockstep on one BatchedUav
-  /// (SimulationRunner::RunBatchInto). 1 (the default) is the scalar path;
-  /// results are byte-identical at every setting (DESIGN.md §14). Bounded
-  /// by uav::kMaxBatchLanes.
-  int batch_size{1};
   /// Result-store directory; empty disables caching. Completed runs are
   /// persisted as workers finish and cached runs are skipped on the next
   /// invocation, so an interrupted campaign resumes where it left off.
@@ -47,9 +41,9 @@ struct CampaignConfig {
 
   class Builder;
 
-  /// Reads UAVRES_FAST / UAVRES_MISSIONS / UAVRES_THREADS / UAVRES_BATCH /
-  /// UAVRES_CACHE_DIR / UAVRES_RECOVERY
-  /// from the environment for quick developer runs (see DESIGN.md §4).
+  /// Reads UAVRES_FAST / UAVRES_MISSIONS / UAVRES_THREADS / UAVRES_CACHE_DIR /
+  /// UAVRES_RECOVERY from the environment for quick developer runs (see
+  /// DESIGN.md §4).
   /// Prints a one-line stderr warning for any set-but-ineffective variable
   /// (unparseable or equal to the value already in force).
   static CampaignConfig FromEnvironment();
@@ -81,7 +75,6 @@ class CampaignConfig::Builder {
   }
   Builder& InjectionStart(double start_s) { cfg_.injection_start_s = start_s; return *this; }
   Builder& Threads(int n) { cfg_.num_threads = n; return *this; }
-  Builder& Batch(int n) { cfg_.batch_size = n; return *this; }
   Builder& Missions(int limit) { cfg_.mission_limit = limit; return *this; }
   Builder& CacheDir(std::string dir) { cfg_.cache_dir = std::move(dir); return *this; }
   Builder& Run(uav::RunConfig run) { cfg_.run = std::move(run); return *this; }

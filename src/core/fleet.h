@@ -9,10 +9,9 @@
 // value that fully determines a fleet run's result, hashable into a stable
 // 64-bit cache key (FleetCacheKey) so fleet runs dedupe through the
 // ResultStore exactly like single-mission experiments. The spec describes
-// WHAT is simulated; execution strategy (thread count, batch size,
-// broadphase mode) is deliberately excluded — the fleet runner guarantees
-// results are byte-identical across all of them, which is what makes the
-// cache sound.
+// WHAT is simulated; execution strategy (thread count, broadphase mode) is
+// deliberately excluded — the fleet runner guarantees results are
+// byte-identical across them, which is what makes the cache sound.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,8 @@ struct FleetExperimentSpec {
   int faulted_drone{0};            ///< index into the fleet
   bool recovery{false};            ///< detector + estimator failover on all drones
 
-  /// > 0 enables continuous-traffic mode: lanes whose drone ended are
-  /// refilled with fresh flights until this sim time, which is what gives
+  /// > 0 enables continuous-traffic mode: slots whose drone ended are
+  /// relaunched with fresh flights until this sim time, which is what gives
   /// airspace throughput a denominator. 0 = every drone flies once.
   double relaunch_horizon_s{0.0};
 

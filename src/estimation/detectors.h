@@ -138,9 +138,8 @@ class ImuFaultDetector {
 /// kConfirmed. Attitude, gyro bias and body rate come from the complementary
 /// filter (whose gravity-referenced tilt survives faults the EKF's
 /// IMU-driven prediction cannot); position, velocity and accel bias stay on
-/// the EKF, whose GPS resets keep them anchored. Shared by the scalar
-/// module, the batched bridge and the offline replay, which must mix
-/// bit-identically.
+/// the EKF, whose GPS resets keep them anchored. Shared by the estimator
+/// module and the offline replay, which must mix bit-identically.
 NavState ApplyAttitudeFallback(const NavState& ekf_state, const ComplementaryFilter& comp,
                                const sensors::ImuSample& imu);
 

@@ -112,17 +112,6 @@ class Ekf {
  public:
   static constexpr int kN = 15;
 
-  /// Inputs of one covariance-propagation step, produced by the nominal
-  /// prediction when the (decimated) covariance step is due. The Jacobian
-  /// blocks are computed once here so the scalar propagation and the batched
-  /// SoA kernel (EkfBatch) consume bit-identical values.
-  struct CovInputs {
-    double cdt{0.0};      ///< accumulated dt since the last covariance step
-    math::Mat3 B_vth;     ///< d(dv)/d(dtheta) block of F
-    math::Mat3 B_vba;     ///< d(dv)/d(db_a) block of F
-    math::Mat3 B_thth;    ///< d(dtheta)/d(dtheta) block of F
-  };
-
   explicit Ekf(const EkfConfig& cfg = {});
 
   /// Initialize at a known pose at rest (vehicle armed on the pad).
@@ -154,12 +143,17 @@ class Ekf {
   }
 
  private:
-  // The prediction seams below decompose PredictImu so the batched driver
-  // (EkfBatch) can interleave the per-lane scalar pieces with its own SoA
-  // F·P·Fᵀ kernel. PredictImu is exactly PredictNominal + (when due)
-  // PropagateCovariance + FinishCovariance; EkfBatch substitutes only the
-  // middle piece, so every other code path stays this reference code.
-  friend class EkfBatch;
+  /// Inputs of one covariance-propagation step, produced by the nominal
+  /// prediction when the (decimated) covariance step is due.
+  struct CovInputs {
+    double cdt{0.0};      ///< accumulated dt since the last covariance step
+    math::Mat3 B_vth;     ///< d(dv)/d(dtheta) block of F
+    math::Mat3 B_vba;     ///< d(dv)/d(db_a) block of F
+    math::Mat3 B_thth;    ///< d(dtheta)/d(dtheta) block of F
+  };
+
+  // PredictImu is PredictNominal followed, when the covariance step is due,
+  // by PropagateCovariance and FinishCovariance.
 
   /// Nominal-state propagation, attitude-reset monitoring and the covariance
   /// decimation decision. Returns the covariance inputs when this step must

@@ -114,56 +114,6 @@ void EstimatorModule::Step(const bus::StepInfo& info) {
   bus_->estimator_status.Publish(ekf_.status(), info.t);
 }
 
-// --- BatchEstimatorBridge ---
-
-BatchEstimatorBridge::BatchEstimatorBridge(estimation::EkfBatch* batch, int lane,
-                                           bus::FlightBus* bus)
-    : batch_(batch), lane_(lane), bus_(bus) {}
-
-void BatchEstimatorBridge::Step(const bus::StepInfo& info) {
-  // Mirrors EstimatorModule::Step up to the EKF calls, which are staged into
-  // the shared batch instead of executed here.
-  const bus::ImuSignal& sig = bus_->imu.Latest();
-  const auto unit = static_cast<std::size_t>(bus_->imu_select.Latest().unit %
-                                             bus::ImuSignal::kUnits);
-  batch_->StageImu(lane_, sig.units[unit], info.dt);
-  if (detector_ != nullptr) comp_.Update(sig.units[unit], info.dt);
-  if (bus_->gps.generation() != gps_gen_) {
-    gps_gen_ = bus_->gps.generation();
-    batch_->StageGps(lane_, bus_->gps.Latest());
-  }
-  if (bus_->baro.generation() != baro_gen_) {
-    baro_gen_ = bus_->baro.generation();
-    batch_->StageBaro(lane_, bus_->baro.Latest());
-  }
-  if (bus_->mag.generation() != mag_gen_) {
-    mag_gen_ = bus_->mag.generation();
-    const sensors::MagSample& mag = bus_->mag.Latest();
-    batch_->StageMag(lane_, mag);
-    if (detector_ != nullptr) {
-      comp_.UpdateMag(mag, mag_seen_ ? mag.t - last_mag_t_ : info.dt);
-      mag_seen_ = true;
-      last_mag_t_ = mag.t;
-    }
-  }
-}
-
-void BatchEstimatorBridge::PublishEstimate(const bus::StepInfo& info) {
-  const estimation::Ekf& e = batch_->lane(lane_);
-  // Safe to re-read imu/imu_select here: health (which republishes the
-  // selection) runs in the post schedule, after this call.
-  if (detector_ != nullptr && detector_->failover_active()) {
-    const bus::ImuSignal& sig = bus_->imu.Latest();
-    const auto unit = static_cast<std::size_t>(bus_->imu_select.Latest().unit %
-                                               bus::ImuSignal::kUnits);
-    bus_->estimate.Publish(
-        estimation::ApplyAttitudeFallback(e.state(), comp_, sig.units[unit]), info.t);
-  } else {
-    bus_->estimate.Publish(e.state(), info.t);
-  }
-  bus_->estimator_status.Publish(e.status(), info.t);
-}
-
 // --- HealthModule ---
 
 HealthModule::HealthModule(const nav::HealthMonitorConfig& cfg, bus::FlightBus* bus,

@@ -26,7 +26,7 @@
 #include "math/state_io.h"
 #include "estimation/complementary_filter.h"
 #include "estimation/detectors.h"
-#include "estimation/ekf_batch.h"
+#include "estimation/ekf.h"
 #include "nav/mission.h"
 #include "telemetry/flight_log.h"
 #include "uav/uav_config.h"
@@ -112,7 +112,7 @@ class MagModule final : public bus::Module {
 /// EKF state. The detector's state machine advances inside the
 /// estimator-status publish (DetectorStage), i.e. *after* this module reads
 /// it, so the failover verdict carries the same one-step latency as every
-/// other bus signal — online, batched and offline replay agree exactly.
+/// other bus signal — online and offline replay agree exactly.
 class EstimatorModule final : public bus::Module {
  public:
   EstimatorModule(const estimation::EkfConfig& cfg, bus::FlightBus* bus);
@@ -134,44 +134,6 @@ class EstimatorModule final : public bus::Module {
 
  private:
   estimation::Ekf ekf_;
-  estimation::ComplementaryFilter comp_;
-  const estimation::ImuFaultDetector* detector_{nullptr};  // not owned
-  bus::FlightBus* bus_;
-  std::uint64_t gps_gen_{0};
-  std::uint64_t baro_gen_{0};
-  std::uint64_t mag_gen_{0};
-  bool mag_seen_{false};
-  double last_mag_t_{0.0};
-};
-
-/// One lane's bus adapter for the batched estimator (DESIGN.md §14): the
-/// EstimatorModule's step split at the EkfBatch commit barrier. Step() —
-/// scheduled exactly where the scalar EstimatorModule sits — stages this
-/// lane's IMU sample and any aiding topic whose generation advanced into the
-/// shared EkfBatch; PublishEstimate(), called by BatchedUav right after
-/// EkfBatch::Commit(), publishes the estimate and status topics with the
-/// values the scalar module would have published at the same instant.
-class BatchEstimatorBridge final : public bus::Module {
- public:
-  BatchEstimatorBridge(estimation::EkfBatch* batch, int lane, bus::FlightBus* bus);
-  void Init(const math::Vec3& pos, double yaw_rad) {
-    batch_->InitLane(lane_, pos, yaw_rad);
-    comp_.InitAtRest(yaw_rad);
-  }
-  void Step(const bus::StepInfo& info) override;
-  void PublishEstimate(const bus::StepInfo& info);
-
-  /// Enable failover, mirroring EstimatorModule::AttachFailover. The shadow
-  /// filter is per-lane scalar state: it never touches the batch kernel, so
-  /// lane bit-identity with the scalar path holds by the same same-inputs/
-  /// same-order argument as the rest of the bridge.
-  void AttachFailover(const estimation::ImuFaultDetector* detector) { detector_ = detector; }
-
-  const estimation::Ekf& ekf() const { return batch_->lane(lane_); }
-
- private:
-  estimation::EkfBatch* batch_;
-  int lane_;
   estimation::ComplementaryFilter comp_;
   const estimation::ImuFaultDetector* detector_{nullptr};  // not owned
   bus::FlightBus* bus_;
@@ -385,8 +347,7 @@ class DetectorStage {
 int RateDivider(double control_rate_hz, double sensor_rate_hz);
 
 /// Position-control config with the airframe's actual hover thrust fraction
-/// filled in (the collective mapping must know it). Shared by the scalar and
-/// batched vehicle assemblies, which must configure control identically.
+/// filled in (the collective mapping must know it).
 control::PositionControlConfig PositionControlWithHoverThrust(const UavConfig& cfg);
 
 /// Initial heading: along the first mission leg when one exists (shared by

@@ -1,7 +1,6 @@
 #include "uav/simulation_runner.h"
 
-#include <array>
-#include <cassert>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -12,16 +11,12 @@
 #include "math/num.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace.h"
-#include "uav/batched_uav.h"
 
 namespace uavres::uav {
 
 using core::MissionOutcome;
 using core::MissionResult;
 using math::Vec3;
-
-static_assert(kMaxBatchLanes == BatchedUav::kMaxLanes,
-              "the header constant must mirror the fleet capacity");
 
 UavConfig MakeUavConfig(const core::DroneSpec& spec) {
   UavConfig cfg;
@@ -56,15 +51,16 @@ std::ostream& operator<<(std::ostream& os, const ExperimentSpec& spec) {
   return os << " seed=" << spec.seed_base;
 }
 
-TerminalVerdict EvaluateTerminal(const nav::CrashDetector& crash,
-                                 const nav::HealthMonitor& health,
-                                 const nav::Commander& commander, double t) {
+TerminalVerdict EvaluateTerminal(const Uav& uav, double t) {
   TerminalVerdict v;
+  const nav::CrashDetector& crash = uav.crash_detector();
+  const nav::Commander& commander = uav.commander();
   if (crash.crashed()) {
     v.ended = true;
     v.end_time = crash.crash_time();
     // Failsafe-first classification (Table IV): if the controller engaged
     // failsafe before the physical crash, the run counts as a failsafe.
+    const nav::HealthMonitor& health = uav.health();
     v.outcome = (health.failsafe_active() && health.failsafe_time() <= v.end_time)
                     ? MissionOutcome::kFailsafe
                     : MissionOutcome::kCrashed;
@@ -77,68 +73,10 @@ TerminalVerdict EvaluateTerminal(const nav::CrashDetector& crash,
   return v;
 }
 
-TerminalVerdict EvaluateTerminal(const Uav& uav, double t) {
-  return EvaluateTerminal(uav.crash_detector(), uav.health(), uav.commander(), t);
-}
-
 namespace {
 
-// Everything the per-step bookkeeping reads from one stepping vehicle,
-// regardless of whether it lives behind a Uav façade or a BatchedUav lane.
-struct VehicleView {
-  const sim::RigidBodyState* truth{nullptr};
-  const estimation::NavState* est{nullptr};
-  const math::Matrix<estimation::Ekf::kN, estimation::Ekf::kN>* cov{nullptr};
-  const estimation::EkfStatus* ekf_status{nullptr};
-  const nav::HealthMonitor* health{nullptr};
-  const nav::Commander* commander{nullptr};
-  const nav::CrashDetector* crash{nullptr};
-  const telemetry::FlightLog* log{nullptr};
-  /// Non-null only when the online IMU-fault detector is enabled.
-  const estimation::ImuFaultDetector* detector{nullptr};
-  double thrust_cmd{0.0};
-  bool fault_active{false};
-  bool airborne_seen{false};
-};
-
-VehicleView ViewOf(const Uav& uav) {
-  VehicleView v;
-  v.truth = &uav.quad().state();
-  v.est = &uav.ekf().state();
-  v.cov = &uav.ekf().covariance();
-  v.ekf_status = &uav.ekf().status();
-  v.health = &uav.health();
-  v.commander = &uav.commander();
-  v.crash = &uav.crash_detector();
-  v.log = &uav.log();
-  v.thrust_cmd = uav.last_thrust_cmd();
-  v.fault_active = uav.fault_active();
-  v.airborne_seen = uav.airborne_seen();
-  if (uav.detector_enabled()) v.detector = &uav.detector();
-  return v;
-}
-
-VehicleView ViewOf(const BatchedUav& fleet, int lane) {
-  VehicleView v;
-  v.truth = &fleet.pool().truth[static_cast<std::size_t>(lane)];
-  v.est = &fleet.ekf(lane).state();
-  v.cov = &fleet.ekf(lane).covariance();
-  v.ekf_status = &fleet.ekf(lane).status();
-  v.health = &fleet.health(lane);
-  v.commander = &fleet.commander(lane);
-  v.crash = &fleet.crash_detector(lane);
-  v.log = &fleet.log(lane);
-  v.thrust_cmd = fleet.last_thrust_cmd(lane);
-  v.fault_active = fleet.fault_active(lane);
-  v.airborne_seen = fleet.airborne_seen(lane);
-  if (fleet.detector_enabled(lane)) v.detector = &fleet.detector(lane);
-  return v;
-}
-
 // One experiment's per-step metric accumulation and terminal classification,
-// factored out of the old RunInto body so the scalar loop and the batched
-// lanes run literally the same bookkeeping code (a precondition for the
-// byte-identical-output contract of RunBatchInto).
+// shared by the from-scratch, checkpointing and forked run loops.
 class StepBookkeeper {
  public:
   StepBookkeeper(const RunConfig& cfg, const ExperimentSpec& espec,
@@ -199,18 +137,17 @@ class StepBookkeeper {
     return r.ok() && r.fully_consumed();
   }
 
-  // Runs after each Step() at post-step time `t` — the exact per-step block
-  // of the old scalar loop, against the view instead of the façade.
-  void AfterStep(double t, const VehicleView& v) {
+  // Runs after each Step() at post-step time `t`.
+  void AfterStep(double t, const Uav& uav) {
     ++steps_;
     const std::optional<core::FaultSpec>& fault = espec_.fault;
     if (fault && t < fault->start_time_s) {
       // Health-monitor confirm charge just before fault onset: the failsafe-
       // latency invariant only binds when the pipeline starts uncharged.
-      anomaly_at_onset_ = v.health->anomaly_level();
+      anomaly_at_onset_ = uav.health().anomaly_level();
     }
-    const auto& truth = *v.truth;
-    const auto& est = *v.est;
+    const auto& truth = uav.quad().state();
+    const auto& est = uav.ekf().state();
 
     if (cfg_.record_trajectory && t >= next_record_) {
       telemetry::TrajectorySample s;
@@ -222,7 +159,7 @@ class StepBookkeeper {
       s.att_true = truth.att;
       s.att_est = est.att;
       s.airspeed_est = est.vel.Norm();
-      s.fault_active = v.fault_active;
+      s.fault_active = uav.fault_active();
       out_.trajectory.Add(s);
       next_record_ += record_interval_;
     }
@@ -235,7 +172,7 @@ class StepBookkeeper {
       last_est_pos_ = est.pos;
       // Radii are tracked even without a gold reference (the containment-
       // ordering invariant needs them); deviations only count against one.
-      if (v.airborne_seen) {
+      if (uav.airborne_seen()) {
         const double deviation = espec_.gold != nullptr
                                      ? espec_.gold->DistanceToTruePath(truth.pos)
                                      : 0.0;
@@ -253,24 +190,23 @@ class StepBookkeeper {
         inv.pos_est = est.pos;
         inv.vel_est = est.vel;
         inv.att_est = est.att;
-        inv.thrust_cmd = v.thrust_cmd;
+        inv.thrust_cmd = uav.last_thrust_cmd();
         inv.mass_kg = mass_kg_;
         inv.energy_j = 0.5 * mass_kg_ * truth.vel.NormSq() +
                        mass_kg_ * math::kGravity * (-truth.pos.z);
         inv.bubble_inner_m = bubbles_.inner_radius();
         inv.bubble_outer_m = bubbles_.last_outer_radius();
         inv.bubble_tracked = bubbles_.instants_tracked() > 0;
-        inv.cov = v.cov;
-        inv.ekf_status = v.ekf_status;
+        inv.cov = &uav.ekf().covariance();
+        inv.ekf_status = &uav.ekf().status();
         if (cfg_.invariant_tap) cfg_.invariant_tap(inv);
         checker_.CheckStep(inv);
         last_check_t_ = t;
       }
     }
 
-    // --- Terminal conditions (shared with the multi-vehicle runner). ---
-    const TerminalVerdict verdict =
-        EvaluateTerminal(*v.crash, *v.health, *v.commander, t);
+    // --- Terminal conditions (shared with the fleet runner). ---
+    const TerminalVerdict verdict = EvaluateTerminal(uav, t);
     if (verdict.ended) {
       end_time_ = verdict.end_time;
       outcome_ = verdict.outcome;
@@ -279,20 +215,21 @@ class StepBookkeeper {
   }
 
   // Finalizes the RunOutput once the vehicle stops stepping (terminal verdict
-  // or timeout) — the old scalar epilogue.
-  void Finish(const VehicleView& v) {
+  // or timeout).
+  void Finish(const Uav& uav) {
+    const nav::HealthMonitor& health = uav.health();
     out_.result.outcome = outcome_;
     out_.result.flight_duration_s = end_time_;
     out_.result.distance_km = distance_est_ / 1000.0;
     out_.result.inner_violations = bubbles_.inner_violations();
     out_.result.outer_violations = bubbles_.outer_violations();
     out_.result.max_deviation_m = bubbles_.max_deviation();
-    out_.result.failsafe_reason = v.health->reason();
-    out_.result.failsafe_time_s = v.health->failsafe_time();
-    out_.result.crash_reason = v.crash->reason();
-    out_.result.crash_time_s = v.crash->crash_time();
-    if (v.detector != nullptr) {
-      const estimation::ImuFaultDetector& d = *v.detector;
+    out_.result.failsafe_reason = health.reason();
+    out_.result.failsafe_time_s = health.failsafe_time();
+    out_.result.crash_reason = uav.crash_detector().reason();
+    out_.result.crash_time_s = uav.crash_detector().crash_time();
+    if (uav.detector_enabled()) {
+      const estimation::ImuFaultDetector& d = uav.detector();
       out_.result.detector_enabled = true;
       out_.result.detection_time_s = d.first_confirm_time_s();
       out_.result.recovery_engaged = d.confirm_events() > 0;
@@ -312,7 +249,7 @@ class StepBookkeeper {
         out_.result.false_positives = d.confirm_events();
       }
     }
-    out_.log = *v.log;
+    out_.log = uav.log();
 
     if (checker_.enabled()) {
       core::InvariantEndSample end;
@@ -321,9 +258,8 @@ class StepBookkeeper {
         end.fault_start_s = espec_.fault->start_time_s;
         end.fault_duration_s = espec_.fault->duration_s;
       }
-      end.failsafe_sensor_fault =
-          v.health->reason() == nav::FailsafeReason::kSensorFault;
-      end.failsafe_time_s = v.health->failsafe_time();
+      end.failsafe_sensor_fault = health.reason() == nav::FailsafeReason::kSensorFault;
+      end.failsafe_time_s = health.failsafe_time();
       end.anomaly_at_onset = anomaly_at_onset_;
       checker_.CheckEnd(end);
       out_.violations = checker_.violations();
@@ -474,10 +410,10 @@ void SimulationRunner::RunInto(const ExperimentSpec& espec, RunOutput& out) cons
 
   while (uav.time() < bk.max_time()) {
     uav.Step();
-    bk.AfterStep(uav.time(), ViewOf(uav));
+    bk.AfterStep(uav.time(), uav);
     if (bk.ended()) break;
   }
-  bk.Finish(ViewOf(uav));
+  bk.Finish(uav);
 }
 
 bool SimulationRunner::RunCheckpointedImpl(const ExperimentSpec& espec, double t_snap,
@@ -495,7 +431,7 @@ bool SimulationRunner::RunCheckpointedImpl(const ExperimentSpec& espec, double t
   bool captured = false;
   while (uav.time() < bk.max_time()) {
     uav.Step();
-    bk.AfterStep(uav.time(), ViewOf(uav));
+    bk.AfterStep(uav.time(), uav);
     if (!captured && uav.step_count() == capture_step) {
       // Capture after this step's bookkeeping so the restored harness resumes
       // mid-run exactly where the donor's left off (even if the run also
@@ -508,7 +444,7 @@ bool SimulationRunner::RunCheckpointedImpl(const ExperimentSpec& espec, double t
     }
     if (bk.ended()) break;
   }
-  bk.Finish(ViewOf(uav));
+  bk.Finish(uav);
   return captured;
 }
 
@@ -547,50 +483,10 @@ bool SimulationRunner::RunFromSnapshot(const ExperimentSpec& espec,
       deadline_s > 0.0 ? std::min(deadline_s, bk.max_time()) : bk.max_time();
   while (!bk.ended() && uav.time() < deadline) {
     uav.Step();
-    bk.AfterStep(uav.time(), ViewOf(uav));
+    bk.AfterStep(uav.time(), uav);
   }
-  bk.Finish(ViewOf(uav));
+  bk.Finish(uav);
   return true;
-}
-
-void SimulationRunner::RunBatchInto(const ExperimentSpec* specs, std::size_t n,
-                                    RunOutput* const* outs) const {
-  if (n == 0) return;
-  if (n == 1) {  // scalar path: same outputs, no batch overhead
-    RunInto(specs[0], *outs[0]);
-    return;
-  }
-  assert(n <= static_cast<std::size_t>(kMaxBatchLanes));
-  UAVRES_TRACE_SCOPE("sim/run_batch");
-  auto fleet = std::make_unique<BatchedUav>();
-  std::array<std::optional<StepBookkeeper>, kMaxBatchLanes> bks;
-  for (std::size_t i = 0; i < n; ++i) {
-    UavConfig uav_cfg = MakeUavConfig(specs[i].drone);
-    if (cfg_.uav_config_mutator) cfg_.uav_config_mutator(uav_cfg);
-    if (cfg_.recovery) uav_cfg.detector.enabled = true;
-    bks[i].emplace(cfg_, specs[i], uav_cfg, *outs[i]);
-    if (bks[i]->checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
-    fleet->AddLane(uav_cfg, specs[i].drone.plan, specs[i].fault, specs[i].Seed());
-  }
-
-  // Lockstep: each lane sees exactly the step sequence the scalar loop gives
-  // it — it keeps stepping while its post-step time stays below its own
-  // deadline (the scalar loop's `while (uav.time() < max_time)` re-check) and
-  // retires on a terminal verdict or timeout with its output finalized.
-  while (fleet->AnyActive()) {
-    fleet->Step();
-    const double t = fleet->time();
-    for (std::size_t i = 0; i < n; ++i) {
-      const int lane = static_cast<int>(i);
-      if (!fleet->lane_active(lane)) continue;
-      StepBookkeeper& bk = *bks[i];
-      bk.AfterStep(t, ViewOf(*fleet, lane));
-      if (bk.ended() || t >= bk.max_time()) {
-        bk.Finish(ViewOf(*fleet, lane));
-        fleet->Retire(lane);
-      }
-    }
-  }
 }
 
 }  // namespace uavres::uav

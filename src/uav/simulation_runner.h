@@ -99,11 +99,6 @@ struct ExperimentSpec {
 /// runs print "gold" in place of the fault clause).
 std::ostream& operator<<(std::ostream& os, const ExperimentSpec& spec);
 
-/// Capacity ceiling of one batched SimulationRunner call. Mirrors
-/// FleetPool/EkfBatch::kMaxLanes (static_assert'd in the implementation so
-/// this header stays light).
-inline constexpr int kMaxBatchLanes = 16;
-
 /// Runs missions to termination, computing outcome classification, bubble
 /// violations against a gold reference, duration and EKF distance.
 class SimulationRunner {
@@ -119,15 +114,6 @@ class SimulationRunner {
   /// worker cycling through many runs stops paying one reserve/free pair
   /// per run. `out` must not alias `spec.gold`.
   void RunInto(const ExperimentSpec& spec, RunOutput& out) const;
-
-  /// Runs `n` (<= kMaxBatchLanes) experiments in one lockstep batch on a
-  /// uav::BatchedUav, writing outs[i] for specs[i]. Each RunOutput is
-  /// byte-identical to what RunInto would produce for the same spec — the
-  /// batched path is an execution strategy, not a different simulation
-  /// (DESIGN.md §14); lanes whose runs end early retire individually while
-  /// the rest keep stepping. Same aliasing rule as RunInto for every lane.
-  void RunBatchInto(const ExperimentSpec* specs, std::size_t n,
-                    RunOutput* const* outs) const;
 
   // --- Snapshot / fork checkpointing (DESIGN.md §16) ---
   //
@@ -173,7 +159,7 @@ class SimulationRunner {
 std::uint64_t SnapshotConfigDigest(const RunConfig& run, const ExperimentSpec& spec);
 
 /// Terminal verdict on one stepping vehicle, shared by SimulationRunner and
-/// uspace::MultiUavRunner so single- and multi-vehicle experiments classify
+/// uspace::FleetRunner so single- and multi-vehicle experiments classify
 /// outcomes by exactly the same rules.
 struct TerminalVerdict {
   bool ended{false};
@@ -186,11 +172,5 @@ struct TerminalVerdict {
 /// if the controller engaged failsafe before the crash the run counts as a
 /// failsafe), and landing ends it as completed or failsafe.
 TerminalVerdict EvaluateTerminal(const Uav& uav, double t);
-
-/// Component-level overload shared by the scalar and batched runners (a
-/// BatchedUav lane has no Uav façade to hand over).
-TerminalVerdict EvaluateTerminal(const nav::CrashDetector& crash,
-                                 const nav::HealthMonitor& health,
-                                 const nav::Commander& commander, double t);
 
 }  // namespace uavres::uav

@@ -9,9 +9,12 @@ namespace uavres::uav {
 using math::Vec3;
 
 Uav::Uav(const UavConfig& cfg, const nav::MissionPlan& plan,
-         std::optional<core::FaultSpec> fault, std::uint64_t seed)
+         std::optional<core::FaultSpec> fault, std::uint64_t seed,
+         std::int64_t first_step)
     : cfg_(cfg),
       dt_(1.0 / cfg.control_rate_hz),
+      time_(static_cast<double>(first_step) * dt_),
+      step_count_(first_step),
       gps_divider_(RateDivider(cfg.control_rate_hz, cfg.gps.rate_hz)),
       baro_divider_(RateDivider(cfg.control_rate_hz, cfg.baro.rate_hz)),
       mag_divider_(RateDivider(cfg.control_rate_hz, cfg.mag.rate_hz)),

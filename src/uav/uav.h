@@ -50,8 +50,13 @@ enum class SnapshotSectionId : std::uint32_t {
 /// One simulated vehicle flying one mission, optionally under fault injection.
 class Uav {
  public:
+  /// `first_step` is the step count the vehicle's clock starts at. A
+  /// standalone flight starts at 0; a flight launched into a running fleet
+  /// joins at the fleet's step count, so its multi-rate sensors keep the
+  /// fleet's schedule phase.
   Uav(const UavConfig& cfg, const nav::MissionPlan& plan,
-      std::optional<core::FaultSpec> fault, std::uint64_t seed);
+      std::optional<core::FaultSpec> fault, std::uint64_t seed,
+      std::int64_t first_step = 0);
 
   /// Advance one control period (one schedule pass over all due modules).
   void Step();
@@ -107,8 +112,8 @@ class Uav {
  private:
   UavConfig cfg_;
   double dt_;
-  double time_{0.0};
-  std::int64_t step_count_{0};
+  double time_;
+  std::int64_t step_count_;
   int gps_divider_;
   int baro_divider_;
   int mag_divider_;

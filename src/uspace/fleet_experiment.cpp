@@ -58,7 +58,6 @@ FleetRunConfig MakeFleetRunConfig(const FleetExperimentSpec& spec,
   cfg.faulted_drone = spec.faulted_drone;
   cfg.recovery = spec.recovery;
   cfg.relaunch_horizon_s = spec.relaunch_horizon_s;
-  cfg.batch_size = knobs.batch_size;
   cfg.num_threads = knobs.num_threads;
   cfg.broadphase = knobs.broadphase;
   return cfg;

@@ -1,4 +1,4 @@
-// Fleet experiments: spec -> scenario -> batched run -> cacheable record
+// Fleet experiments: spec -> scenario -> fleet run -> cacheable record
 // (DESIGN.md §18).
 //
 // This is the campaign-style execution surface for fleet-scale runs: a
@@ -6,9 +6,9 @@
 // airspace scenario, runs on the FleetRunner, and serializes to a
 // telemetry::FleetRecord keyed by core::FleetCacheKey — so `uavres fleet`,
 // benches and sweeps dedupe airspace experiments through the ResultStore
-// exactly like single-mission campaigns. Execution knobs (threads, batch
-// size, broadphase) are result-neutral by the FleetRunner contract, which
-// is what makes caching across them sound.
+// exactly like single-mission campaigns. Execution knobs (threads,
+// broadphase) are result-neutral by the FleetRunner contract, which is what
+// makes caching across them sound.
 #pragma once
 
 #include <string>
@@ -24,7 +24,6 @@ namespace uavres::uspace {
 /// Result-neutral execution strategy for one fleet run.
 struct FleetExecutionKnobs {
   int num_threads{0};  ///< 0 = hardware concurrency
-  int batch_size{uav::BatchedUav::kMaxLanes};
   BroadphaseMode broadphase{BroadphaseMode::kUniformGrid};
 };
 

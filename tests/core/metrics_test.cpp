@@ -44,7 +44,9 @@ TEST(MissionResult, CrashAndFailsafeMutuallyExclusive) {
     r.outcome = outcome;
     EXPECT_FALSE(r.CountsAsCrash() && r.CountsAsFailsafe());
     // Every failed mission lands in exactly one Table-IV bucket.
-    if (r.Failed()) EXPECT_TRUE(r.CountsAsCrash() || r.CountsAsFailsafe());
+    if (r.Failed()) {
+      EXPECT_TRUE(r.CountsAsCrash() || r.CountsAsFailsafe());
+    }
   }
 }
 

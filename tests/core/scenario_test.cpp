@@ -132,9 +132,8 @@ TEST(Scenario, OriginIsValencia) {
   EXPECT_NEAR(origin.lon_deg, -0.376, 0.01);
 }
 
-// SharedValenciaScenario backs every campaign worker — and with batched
-// stepping, many lanes on one worker — through const references held across
-// whole runs. The function-local static must therefore hand every thread
+// SharedValenciaScenario backs every campaign worker through const
+// references held across whole runs. The function-local static must therefore hand every thread
 // the SAME object (stable addresses, no per-thread or racing copies), even
 // when the very first call happens concurrently from many threads.
 TEST(Scenario, SharedScenarioIsOneStableObjectAcrossConcurrentReaders) {
@@ -146,7 +145,7 @@ TEST(Scenario, SharedScenarioIsOneStableObjectAcrossConcurrentReaders) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&seen, i] {
         const auto& fleet = SharedValenciaScenario();
-        // Touch the data like batched lanes do (plan + airframe reads).
+        // Touch the data like a run does (plan + airframe reads).
         ASSERT_EQ(fleet.size(), 10u);
         for (const auto& spec : fleet) {
           ASSERT_FALSE(spec.plan.waypoints.empty());

@@ -95,17 +95,14 @@ TEST(Scheduler, StarvationBigJobDoesNotSerializeGrid) {
   EXPECT_LE(wall_ms, 1.2 * 100.0) << "big job was starved behind cheap jobs";
 }
 
-// The batched campaign coarsens the faulty grid into per-batch jobs whose
-// scheduler cost is the SUM of the batch's lane costs (campaign.cpp). The
-// starvation bound must survive that coarsening: one expensive batch (e.g.
-// eight long-mission lanes summed to 100 units) dealt alongside many cheap
-// batches must still bound the wall clock by the expensive batch itself,
+// The starvation bound must survive a heavily skewed cost vector: one job
+// costing as much as eight long missions (100 units) dealt alongside many
+// cheap jobs must still bound the wall clock by the expensive job itself,
 // not the serialized grid.
 TEST(Scheduler, StarvationBoundHoldsForBatchedCampaignCosts) {
   constexpr auto kUnit = std::chrono::milliseconds(1);
   constexpr std::size_t kCheapBatches = 50;
-  // Batch-summed costs: batch 0 is 8 lanes of 12.5 units; the rest are
-  // 8 lanes of 0.125 units each.
+  // Job 0 costs 8 x 12.5 units; the rest cost 8 x 0.125 units each.
   std::vector<double> batch_costs(kCheapBatches + 1, 8 * 0.125);
   batch_costs[0] = 8 * 12.5;
 

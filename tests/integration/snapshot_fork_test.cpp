@@ -8,10 +8,9 @@
 //   (b) RunWithCheckpoint's full output (capturing a snapshot is free), and
 //   (c) RunFromSnapshot resumed from that snapshot (forking is exact).
 //
-// The same identity must hold through the batched SoA runner (batch of 8
-// magnitude variants vs scalar vs fork) and under 8 concurrent forking
-// threads — checkpointing is an execution strategy, never a different
-// simulation. Store keys are checked too: a spec at default magnitude hashes
+// The same identity must hold across 8 magnitude variants (from scratch vs
+// fork) and under 8 concurrent forking threads — checkpointing is an
+// execution strategy, never a different simulation. Store keys are checked too: a spec at default magnitude hashes
 // identically with and without the magnitude field spelled out, so every
 // pre-snapshot-era cache entry stays addressable.
 #include <gtest/gtest.h>
@@ -146,10 +145,10 @@ TEST(SnapshotFork, RecoveryHarnessForksBitIdentical) {
 }
 
 TEST(SnapshotFork, MagnitudeVariantsMatchScalarAndBatchRuns) {
-  // One donor snapshot at full strength; 8 magnitude variants each run three
-  // ways — scalar from scratch, batch-of-8 lane, fork off the shared donor
-  // snapshot. ExperimentSeed excludes magnitude, so all three must agree to
-  // the byte for every lane.
+  // One donor snapshot at full strength; 8 magnitude variants each run two
+  // ways — from scratch and forked off the shared donor snapshot.
+  // ExperimentSeed excludes magnitude, so both must agree to the byte for
+  // every variant.
   const uav::RunConfig cfg;
   const uav::SimulationRunner runner(cfg);
 
@@ -159,28 +158,21 @@ TEST(SnapshotFork, MagnitudeVariantsMatchScalarAndBatchRuns) {
   uav::RunOutput donor_out;
   ASSERT_TRUE(runner.RunWithCheckpoint(donor, 15.0, snap, donor_out));
 
-  constexpr int kLanes = 8;
-  std::vector<uav::ExperimentSpec> specs(kLanes, donor);
-  for (int i = 0; i < kLanes; ++i) {
+  constexpr int kVariants = 8;
+  std::vector<uav::ExperimentSpec> specs(kVariants, donor);
+  for (int i = 0; i < kVariants; ++i) {
     specs[i].fault->magnitude = 1.0 - 0.125 * i;  // 1.0 down to 0.125
   }
 
-  std::vector<std::string> scalar(kLanes);
+  std::vector<std::string> scalar(kVariants);
   uav::RunOutput scratch;
-  for (int i = 0; i < kLanes; ++i) {
+  for (int i = 0; i < kVariants; ++i) {
     runner.RunInto(specs[i], scratch);
     scalar[i] = SerializeOutput(scratch);
   }
   EXPECT_EQ(scalar[0], SerializeOutput(donor_out));  // m=1.0 is the donor run
 
-  std::vector<uav::RunOutput> batch_outs(kLanes);
-  std::vector<uav::RunOutput*> out_ptrs(kLanes);
-  for (int i = 0; i < kLanes; ++i) out_ptrs[i] = &batch_outs[i];
-  runner.RunBatchInto(specs.data(), kLanes, out_ptrs.data());
-
-  for (int i = 0; i < kLanes; ++i) {
-    EXPECT_EQ(SerializeOutput(batch_outs[i]), scalar[i])
-        << "batch lane " << i << " (m=" << specs[i].fault->magnitude << ")";
+  for (int i = 0; i < kVariants; ++i) {
     uav::RunOutput forked;
     ASSERT_TRUE(runner.RunFromSnapshot(specs[i], snap, forked)) << i;
     EXPECT_EQ(SerializeOutput(forked), scalar[i])

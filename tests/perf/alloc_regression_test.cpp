@@ -17,7 +17,6 @@
 #include "estimation/ekf.h"
 #include "math/vec3.h"
 #include "sensors/samples.h"
-#include "uav/batched_uav.h"
 #include "uav/simulation_runner.h"
 #include "uav/uav.h"
 
@@ -115,39 +114,6 @@ TEST(AllocRegression, UavCruiseStepPerformsZeroHeapAllocations) {
   EXPECT_TRUE(uav.ekf().status().numerically_healthy);
 }
 
-// The batched fleet path has the same contract: lane construction may
-// allocate (module stacks live behind unique_ptrs), but a warmed-up
-// BatchedUav::Step — including the SoA gather/scatter and the vectorized
-// covariance kernel — must be allocation-free for every lane in flight.
-TEST(AllocRegression, FleetPoolCruiseStepPerformsZeroHeapAllocations) {
-  const auto& fleet_specs = core::SharedValenciaScenario();
-  uav::BatchedUav fleet;
-  for (int lane = 0; lane < 4; ++lane) {
-    const auto& spec = fleet_specs[static_cast<std::size_t>(lane)];
-    fleet.AddLane(uav::MakeUavConfig(spec), spec.plan, std::nullopt,
-                  2024 + static_cast<std::uint64_t>(lane));
-  }
-
-  // Warm-up: take off and settle into cruise (20 s at 250 Hz).
-  for (int i = 0; i < 5000; ++i) fleet.Step();
-  for (int lane = 0; lane < 4; ++lane) {
-    ASSERT_TRUE(fleet.airborne_seen(lane)) << "lane " << lane;
-  }
-
-  const std::uint64_t before = Allocs();
-  for (int i = 0; i < 5000; ++i) fleet.Step();
-  const std::uint64_t allocs = Allocs() - before;
-
-  EXPECT_EQ(allocs, 0u) << "BatchedUav::Step performed " << allocs
-                        << " heap allocations over 5000 cruise steps x 4 lanes";
-  for (int lane = 0; lane < 4; ++lane) {
-    EXPECT_TRUE(fleet.ekf(lane).status().numerically_healthy) << "lane " << lane;
-  }
-  // The cruise actually exercised the vectorized kernel, not the fallback.
-  EXPECT_GT(fleet.pool().ekf.kernel_lane_steps(), 0u);
-  EXPECT_EQ(fleet.pool().ekf.fallback_lane_steps(), 0u);
-}
-
 // The detector + failover layer rides the same hot path (two bus
 // interceptors per step, a complementary filter update, the CUSUM state
 // machine), so the zero-allocation contract extends to it verbatim.
@@ -168,32 +134,6 @@ TEST(AllocRegression, DetectorEnabledCruiseStepPerformsZeroHeapAllocations) {
                         << " heap allocations over 5000 cruise steps";
   EXPECT_TRUE(uav.ekf().status().numerically_healthy);
   EXPECT_EQ(uav.detector().state(), estimation::DetectorState::kNominal);
-}
-
-TEST(AllocRegression, DetectorEnabledFleetPoolCruiseStepPerformsZeroHeapAllocations) {
-  const auto& fleet_specs = core::SharedValenciaScenario();
-  uav::BatchedUav fleet;
-  for (int lane = 0; lane < 4; ++lane) {
-    const auto& spec = fleet_specs[static_cast<std::size_t>(lane)];
-    uav::UavConfig cfg = uav::MakeUavConfig(spec);
-    cfg.detector.enabled = true;
-    fleet.AddLane(cfg, spec.plan, std::nullopt,
-                  2024 + static_cast<std::uint64_t>(lane));
-  }
-
-  for (int i = 0; i < 5000; ++i) fleet.Step();
-  for (int lane = 0; lane < 4; ++lane) {
-    ASSERT_TRUE(fleet.airborne_seen(lane)) << "lane " << lane;
-  }
-
-  const std::uint64_t before = Allocs();
-  for (int i = 0; i < 5000; ++i) fleet.Step();
-  const std::uint64_t allocs = Allocs() - before;
-
-  EXPECT_EQ(allocs, 0u) << "detector-enabled BatchedUav::Step performed " << allocs
-                        << " heap allocations over 5000 cruise steps x 4 lanes";
-  EXPECT_GT(fleet.pool().ekf.kernel_lane_steps(), 0u);
-  EXPECT_EQ(fleet.pool().ekf.fallback_lane_steps(), 0u);
 }
 
 }  // namespace

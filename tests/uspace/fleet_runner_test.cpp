@@ -1,11 +1,13 @@
 // FleetRunner contract tests (fleet_runner.h):
-//   1. a fleet run reproduces MultiUavRunner bit-for-bit — outcomes,
-//      durations, conflict events, broker counters — when relaunch is off;
-//   2. the output is byte-identical across thread counts and batch sizes;
+//   1. fleet behaviour: conflicts emerge from a faulted drone, healthy
+//      drones are unaffected, lossy links are counted, wild reports are
+//      quarantined;
+//   2. the output is byte-identical across thread counts;
 //   3. continuous-traffic mode actually produces traffic, deterministically;
 //   4. fleet experiments cache and dedupe through the ResultStore.
 #include "uspace/fleet_runner.h"
 
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +18,6 @@
 
 #include "math/geo.h"
 #include "uspace/fleet_experiment.h"
-#include "uspace/multi_runner.h"
 
 namespace uavres::uspace {
 namespace {
@@ -34,35 +35,6 @@ core::FaultSpec ConvoyFault() {
 /// drone deviates into its neighbours' lanes mid-flight.
 std::vector<core::DroneSpec> ShortConvoy(int drones = 5) {
   return BuildConvoyScenario(drones, 30.0, 12.0, 600.0);
-}
-
-void ExpectSameAsScalar(const MultiRunOutput& scalar, const FleetRunOutput& fleet) {
-  ASSERT_EQ(scalar.drones.size(), fleet.drones.size());
-  for (std::size_t i = 0; i < scalar.drones.size(); ++i) {
-    EXPECT_EQ(scalar.drones[i].drone_id, fleet.drones[i].drone_id);
-    EXPECT_EQ(scalar.drones[i].name, fleet.drones[i].name);
-    EXPECT_EQ(scalar.drones[i].outcome, fleet.drones[i].outcome) << "drone " << i;
-    // Bit-identical, not approximately equal: the fleet engine replays the
-    // scalar loop's exact accumulated-clock and RNG sequences.
-    EXPECT_EQ(scalar.drones[i].flight_duration_s, fleet.drones[i].flight_duration_s)
-        << "drone " << i;
-    EXPECT_EQ(fleet.drones[i].launch_time_s, 0.0);
-  }
-  EXPECT_EQ(scalar.conflicts.conflicts, fleet.conflicts.conflicts);
-  EXPECT_EQ(scalar.conflicts.alerts, fleet.conflicts.alerts);
-  EXPECT_EQ(scalar.conflicts.instants_in_conflict, fleet.conflicts.instants_in_conflict);
-  ASSERT_EQ(scalar.events.size(), fleet.events.size());
-  for (std::size_t i = 0; i < scalar.events.size(); ++i) {
-    EXPECT_EQ(scalar.events[i].drone_a, fleet.events[i].drone_a);
-    EXPECT_EQ(scalar.events[i].drone_b, fleet.events[i].drone_b);
-    EXPECT_EQ(scalar.events[i].severity, fleet.events[i].severity);
-    EXPECT_EQ(scalar.events[i].start_time, fleet.events[i].start_time);
-    EXPECT_EQ(scalar.events[i].end_time, fleet.events[i].end_time);
-    EXPECT_EQ(scalar.events[i].min_separation_m, fleet.events[i].min_separation_m);
-  }
-  EXPECT_EQ(scalar.reports_published, fleet.reports_published);
-  EXPECT_EQ(scalar.reports_dropped, fleet.reports_dropped);
-  EXPECT_EQ(scalar.reports_quarantined, fleet.reports_quarantined);
 }
 
 void ExpectIdenticalFleetOutputs(const FleetRunOutput& a, const FleetRunOutput& b,
@@ -102,48 +74,113 @@ void ExpectIdenticalFleetOutputs(const FleetRunOutput& a, const FleetRunOutput& 
   EXPECT_EQ(a.throughput_missions_per_hour, b.throughput_missions_per_hour) << what;
 }
 
-TEST(FleetRunner, ReproducesScalarRunnerBitForBit) {
-  const auto fleet = ShortConvoy();
-
-  MultiRunConfig mcfg;
-  mcfg.fault = ConvoyFault();
-  mcfg.faulted_drone = 2;
-  const auto scalar = MultiUavRunner(mcfg).Run(fleet, 2024);
-
-  // The faulted drone must actually misbehave for this to be a strong test.
-  bool any_noncompleted = false;
-  for (const auto& d : scalar.drones) {
-    any_noncompleted |= d.outcome != core::MissionOutcome::kCompleted;
+TEST(ConvoyScenario, GeometryAsSpecified) {
+  const auto fleet = BuildConvoyScenario(3, 30.0, 12.0, 1200.0);
+  ASSERT_EQ(fleet.size(), 3u);
+  for (const auto& s : fleet) {
+    EXPECT_TRUE(s.plan.Valid());
+    EXPECT_DOUBLE_EQ(s.cruise_speed_kmh, 12.0);
+    EXPECT_NEAR(s.plan.PathLength(), 1200.0, 1e-9);
   }
-  ASSERT_TRUE(any_noncompleted);
-
-  FleetRunConfig fcfg;
-  fcfg.fault = mcfg.fault;
-  fcfg.faulted_drone = 2;
-  fcfg.num_threads = 1;
-  ExpectSameAsScalar(scalar, FleetRunner(fcfg).Run(fleet, 2024));
-
-  // Both broadphase modes reproduce the scalar detector's events.
-  fcfg.broadphase = BroadphaseMode::kBruteForce;
-  ExpectSameAsScalar(scalar, FleetRunner(fcfg).Run(fleet, 2024));
+  // Lane spacing in the shared frame.
+  const math::LocalProjection proj(core::ScenarioOrigin());
+  const auto h0 = proj.ToNed(fleet[0].home_geo);
+  const auto h1 = proj.ToNed(fleet[1].home_geo);
+  EXPECT_NEAR(std::abs(h1.y - h0.y), 30.0, 0.5);
 }
 
-TEST(FleetRunner, ReproducesScalarWithLinkImpairmentsAndRecovery) {
-  const auto fleet = ShortConvoy();
-  MultiRunConfig mcfg;
-  mcfg.fault = ConvoyFault();
-  mcfg.faulted_drone = 2;
-  mcfg.recovery = true;
-  mcfg.link.drop_probability = 0.2;
-  mcfg.link.delay_s = 0.25;
-  const auto scalar = MultiUavRunner(mcfg).Run(fleet, 77);
+TEST(FleetRunner, FaultFreeConvoyCompletesWithoutConflicts) {
+  const auto fleet = BuildConvoyScenario(2, 20.0, 12.0, 600.0);
+  const FleetRunner runner;
+  const auto out = runner.Run(fleet, 2024);
+  ASSERT_EQ(out.drones.size(), 2u);
+  for (const auto& d : out.drones) {
+    EXPECT_EQ(d.outcome, core::MissionOutcome::kCompleted) << d.name;
+  }
+  EXPECT_EQ(out.conflicts.conflicts, 0);
+  EXPECT_EQ(out.conflicts.alerts, 0);
+  EXPECT_GT(out.reports_published, 100);
+  EXPECT_EQ(out.reports_dropped, 0);
+}
 
-  FleetRunConfig fcfg;
-  fcfg.fault = mcfg.fault;
-  fcfg.faulted_drone = 2;
-  fcfg.recovery = true;
-  fcfg.link = mcfg.link;
-  ExpectSameAsScalar(scalar, FleetRunner(fcfg).Run(fleet, 77));
+TEST(FleetRunner, FaultOnOneDroneLeavesOthersUnaffected) {
+  const auto fleet = BuildConvoyScenario(2, 40.0, 12.0, 600.0);
+  FleetRunConfig cfg;
+  core::FaultSpec fault;
+  fault.target = core::FaultTarget::kGyrometer;
+  fault.type = core::FaultType::kMax;
+  fault.duration_s = 5.0;
+  cfg.fault = fault;
+  cfg.faulted_drone = 0;
+  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+  EXPECT_NE(out.drones[0].outcome, core::MissionOutcome::kCompleted);
+  EXPECT_LT(out.drones[0].flight_duration_s, 120.0);
+  EXPECT_EQ(out.drones[1].outcome, core::MissionOutcome::kCompleted);
+}
+
+TEST(FleetRunner, LateralFaultCreatesConflict) {
+  // Tight lanes: a hard accelerometer bias on the middle drone produces a
+  // loss of separation with a neighbour (airspace-level fault impact).
+  const auto fleet = BuildConvoyScenario(3, 15.0, 12.0, 1200.0);
+  FleetRunConfig cfg;
+  core::FaultSpec fault;
+  fault.target = core::FaultTarget::kAccelerometer;
+  fault.type = core::FaultType::kFixed;
+  fault.duration_s = 30.0;
+  cfg.fault = fault;
+  cfg.faulted_drone = 1;
+  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+  EXPECT_GE(out.conflicts.conflicts, 1);
+  EXPECT_LT(out.conflicts.min_separation_m, 15.0);
+}
+
+TEST(FleetRunner, DroppedReportsAreCounted) {
+  const auto fleet = BuildConvoyScenario(2, 40.0, 12.0, 400.0);
+  FleetRunConfig cfg;
+  cfg.link.drop_probability = 0.25;
+  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+  EXPECT_GT(out.reports_dropped, 0);
+  EXPECT_NEAR(static_cast<double>(out.reports_dropped) / out.reports_published, 0.25,
+              0.08);
+  // Lossy tracking does not affect flight outcomes (tracking is monitoring,
+  // not control).
+  for (const auto& d : out.drones) {
+    EXPECT_EQ(d.outcome, core::MissionOutcome::kCompleted);
+  }
+}
+
+TEST(FleetRunner, DeterministicAcrossRuns) {
+  const auto fleet = BuildConvoyScenario(2, 20.0, 12.0, 400.0);
+  FleetRunConfig cfg;
+  core::FaultSpec fault;
+  fault.target = core::FaultTarget::kImu;
+  fault.type = core::FaultType::kRandom;
+  fault.duration_s = 5.0;
+  cfg.fault = fault;
+  const auto a = FleetRunner(cfg).Run(fleet, 7);
+  const auto b = FleetRunner(cfg).Run(fleet, 7);
+  ASSERT_EQ(a.drones.size(), b.drones.size());
+  for (std::size_t i = 0; i < a.drones.size(); ++i) {
+    EXPECT_EQ(a.drones[i].outcome, b.drones[i].outcome);
+    EXPECT_DOUBLE_EQ(a.drones[i].flight_duration_s, b.drones[i].flight_duration_s);
+  }
+  EXPECT_EQ(a.conflicts.conflicts, b.conflicts.conflicts);
+  EXPECT_DOUBLE_EQ(a.conflicts.min_separation_m, b.conflicts.min_separation_m);
+}
+
+TEST(FleetRunner, QuarantineEngagesUnderWildReports) {
+  // An IMU-random fault makes the EKF (and hence the self-reports) jump;
+  // the tracker's plausibility filter must quarantine some reports.
+  const auto fleet = BuildConvoyScenario(2, 40.0, 12.0, 600.0);
+  FleetRunConfig cfg;
+  core::FaultSpec fault;
+  fault.target = core::FaultTarget::kAccelerometer;
+  fault.type = core::FaultType::kFixed;
+  fault.duration_s = 30.0;
+  cfg.fault = fault;
+  cfg.faulted_drone = 0;
+  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+  EXPECT_GT(out.reports_quarantined, 0);
 }
 
 TEST(FleetRunner, ByteIdenticalAcrossThreadsAndBatchSizes) {
@@ -154,28 +191,14 @@ TEST(FleetRunner, ByteIdenticalAcrossThreadsAndBatchSizes) {
 
   FleetRunConfig ref_cfg = base;
   ref_cfg.num_threads = 1;
-  ref_cfg.batch_size = uav::BatchedUav::kMaxLanes;
   const auto reference = FleetRunner(ref_cfg).Run(fleet, 2024);
 
-  for (int threads : {1, 2, 8}) {
-    for (int batch : {1, 8, 16}) {
-      FleetRunConfig cfg = base;
-      cfg.num_threads = threads;
-      cfg.batch_size = batch;
-      const auto out = FleetRunner(cfg).Run(fleet, 2024);
-      ExpectIdenticalFleetOutputs(reference, out,
-                                  "threads=" + std::to_string(threads) +
-                                      " batch=" + std::to_string(batch));
-    }
+  for (int threads : {2, 8}) {
+    FleetRunConfig cfg = base;
+    cfg.num_threads = threads;
+    const auto out = FleetRunner(cfg).Run(fleet, 2024);
+    ExpectIdenticalFleetOutputs(reference, out, "threads=" + std::to_string(threads));
   }
-}
-
-TEST(FleetRunner, RejectsInvalidBatchSize) {
-  FleetRunConfig cfg;
-  cfg.batch_size = 0;
-  EXPECT_THROW(FleetRunner(cfg).Run(ShortConvoy(2), 1), std::invalid_argument);
-  cfg.batch_size = uav::BatchedUav::kMaxLanes + 1;
-  EXPECT_THROW(FleetRunner(cfg).Run(ShortConvoy(2), 1), std::invalid_argument);
 }
 
 TEST(FleetRunner, RejectsFleetMixingControlClocks) {
@@ -184,12 +207,6 @@ TEST(FleetRunner, RejectsFleetMixingControlClocks) {
     if (i == 1) c.control_rate_hz = 2.0 * c.control_rate_hz;
   };
   EXPECT_THROW(FleetRunner(cfg).Run(ShortConvoy(3), 1), std::invalid_argument);
-
-  // The scalar runner fails fast on the same fleet (satellite regression:
-  // it used to silently mis-step every drone after the first).
-  MultiRunConfig mcfg;
-  mcfg.uav_config_mutator = cfg.uav_config_mutator;
-  EXPECT_THROW(MultiUavRunner(mcfg).Run(ShortConvoy(3), 1), std::invalid_argument);
 }
 
 TEST(FleetRunner, RelaunchModeProducesContinuousTraffic) {
@@ -211,12 +228,11 @@ TEST(FleetRunner, RelaunchModeProducesContinuousTraffic) {
     }
   }
 
-  // Continuous traffic stays deterministic across execution strategies too.
+  // Continuous traffic stays deterministic across thread counts too.
   FleetRunConfig cfg2 = cfg;
   cfg2.num_threads = 4;
-  cfg2.batch_size = 2;
   ExpectIdenticalFleetOutputs(out, FleetRunner(cfg2).Run(fleet, 2024),
-                              "relaunch threads=4 batch=2");
+                              "relaunch threads=4");
 }
 
 TEST(FleetExperiment, ConvoyHomesRoundTripThroughProjection) {
@@ -298,7 +314,7 @@ TEST(FleetExperiment, CampaignCachesAndDedupesThroughResultStore) {
   // Different execution knobs still hit the same entry: the key excludes
   // strategy because results are contractually identical across it.
   FleetCampaignConfig cfg2 = cfg;
-  cfg2.knobs.batch_size = 1;
+  cfg2.knobs.num_threads = 2;
   cfg2.knobs.broadphase = BroadphaseMode::kBruteForce;
   FleetCampaign third(cfg2);
   const auto run3 = third.Run({spec});

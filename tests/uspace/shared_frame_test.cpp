@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "math/geo.h"
-#include "uspace/multi_runner.h"
+#include "uspace/fleet_runner.h"
 
 namespace uavres::uspace {
 namespace {

@@ -31,8 +31,8 @@ ALLOWED = {
     "core": {"math", "telemetry", "sim", "sensors", "estimation", "control", "nav"},
     "uav": {"math", "telemetry", "sim", "sensors", "estimation", "control", "bus",
             "nav", "core"},
-    # uspace hosts the fleet engine (DESIGN.md §18): FleetRunner steps
-    # uav::BatchedUav groups and FleetCampaign dedupes through
+    # uspace hosts the fleet engine (DESIGN.md §18): FleetRunner steps one
+    # uav::Uav per flight and FleetCampaign dedupes through
     # core::ResultStore — both ride the existing core+uav edges; the fleet
     # record codec lives in telemetry like every other on-disk format.
     "uspace": {"math", "telemetry", "sim", "sensors", "estimation", "control",

@@ -22,13 +22,8 @@ Comparison policy:
     files record their environment (hardware_concurrency, threads, missions,
     durations); when the environments differ the script prints a notice and
     exits 0 instead of failing the build on an apples-to-oranges comparison.
-    The zero-allocation steady-state checks (scalar and, when present,
-    batched) are environment-independent and are always enforced.
-
-    The batched campaign path ("campaign_batched", emitted by newer
-    bench_throughput builds) is gated with the same --max-regress threshold
-    whenever BOTH files carry it with matching batch sizes; files from before
-    the batched bench simply skip that gate.
+    The zero-allocation steady-state check is environment-independent and
+    is always enforced.
 
     The detector-enabled step measurement ("step_latency_detector", newer
     builds still) carries two gates: its steady state must be allocation-free
@@ -45,10 +40,10 @@ import sys
 
 KNOWN_BENCHES = {"campaign_throughput", "serve_latency", "fleet"}
 
-# The fleet engine's headline batched-vs-scalar speedup needs cores to show;
-# below this many hardware threads the gate degenerates to the structural
-# checks (bit-identical oracle + broadphase event equality), mirroring the
-# environment-mismatch policy of the throughput gates.
+# The fleet engine's headline thread scaling (all threads vs one) needs cores
+# to show; below this many hardware threads the gate degenerates to the
+# structural checks (byte-identical records + broadphase event equality),
+# mirroring the environment-mismatch policy of the throughput gates.
 FLEET_SPEEDUP_MIN_CORES = 8
 FLEET_SPEEDUP_FLOOR = 5.0
 
@@ -127,21 +122,23 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
     """Gate bench_fleet output (BENCH_fleet.json).
 
     Structural invariants are environment-independent and always enforced:
-    the batched fleet run must reproduce the scalar oracle bit-for-bit
-    (fleet.oracle_ok) and the uniform-grid broadphase must emit the same
-    event stream as the exhaustive detector (broadphase.events_match).
+    the all-threads fleet run must reproduce the one-thread run's record
+    byte for byte (fleet.oracle_ok) and the uniform-grid broadphase must
+    emit the same event stream as the exhaustive detector
+    (broadphase.events_match).
 
-    The >=5x drone-steps/sec speedup over the scalar runner is the engine's
-    multi-core headline: it is enforced only when the measuring machine
-    actually has the cores (hardware_concurrency >= FLEET_SPEEDUP_MIN_CORES);
-    a single-core runner can only demonstrate the oracle, not the speedup.
+    The >=5x drone-steps/sec thread scaling (all threads over one) is the
+    engine's multi-core headline: it is enforced only when the measuring
+    machine actually has the cores (hardware_concurrency >=
+    FLEET_SPEEDUP_MIN_CORES); a small runner can only demonstrate the
+    oracle, not the scaling.
     Absolute throughputs are compared against the baseline only on matching
     environments, like the campaign gates.
     """
     fleet = cur.get("fleet", {})
     bp = cur.get("broadphase", {})
     if fleet.get("oracle_ok") is not True:
-        print("compare_bench: FAIL — fleet run does not match the scalar oracle")
+        print("compare_bench: FAIL — fleet record differs from the one-thread run")
         return 1
     if bp.get("events_match") is not True:
         print("compare_bench: FAIL — grid broadphase event stream differs "
@@ -149,20 +146,20 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
         return 1
     speedup = fleet.get("speedup", 0.0)
     cores = cur.get("environment", {}).get("hardware_concurrency", 0)
-    print(f"fleet: speedup {speedup:.2f}x over scalar at "
+    print(f"fleet: thread scaling {speedup:.2f}x over one thread at "
           f"{cur.get('environment', {}).get('drones', '?')} drones "
           f"({cores} hw threads), grid broadphase "
           f"{bp.get('grid_speedup', 0.0):.2f}x, oracle MATCH")
     if cores >= FLEET_SPEEDUP_MIN_CORES:
         if speedup < FLEET_SPEEDUP_FLOOR:
-            print(f"compare_bench: FAIL — fleet speedup {speedup:.2f}x below "
+            print(f"compare_bench: FAIL — fleet thread scaling {speedup:.2f}x below "
                   f"the {FLEET_SPEEDUP_FLOOR:.0f}x floor on a {cores}-thread "
                   f"machine")
             return 1
     else:
         print(f"compare_bench: {cores} hardware thread(s) < "
               f"{FLEET_SPEEDUP_MIN_CORES}, skipping the "
-              f"{FLEET_SPEEDUP_FLOOR:.0f}x speedup gate "
+              f"{FLEET_SPEEDUP_FLOOR:.0f}x thread-scaling gate "
               "(structural oracle gates still passed)")
 
     if cur.get("environment", {}) != base.get("environment", {}):
@@ -210,17 +207,12 @@ def main() -> int:
     if cur.get("bench") == "fleet":
         return compare_fleet(cur, base, args.max_regress)
 
-    # Environment-independent gates first: the hot paths must stay
-    # allocation-free — the scalar cruise and, when measured, the batched one.
+    # Environment-independent gates first: the cruise hot path must stay
+    # allocation-free.
     steady = cur.get("steady_state", {})
     if steady.get("heap_allocs", 0) != 0:
         print(f"compare_bench: FAIL — steady state performed "
               f"{steady.get('heap_allocs')} heap allocations (expected 0)")
-        return 1
-    steady_batched = cur.get("steady_state_batched")
-    if steady_batched is not None and steady_batched.get("heap_allocs", 0) != 0:
-        print(f"compare_bench: FAIL — batched steady state performed "
-              f"{steady_batched.get('heap_allocs')} heap allocations (expected 0)")
         return 1
     detector = cur.get("step_latency_detector")
     if detector is not None:
@@ -257,25 +249,6 @@ def main() -> int:
         print(f"compare_bench: FAIL — throughput regressed more than "
               f"{args.max_regress:.0%}")
         return 1
-
-    cur_b, base_b = cur.get("campaign_batched"), base.get("campaign_batched")
-    if cur_b is None or base_b is None:
-        print("compare_bench: batched campaign not present in both files, "
-              "skipping batched gate")
-    elif cur_b.get("batch") != base_b.get("batch"):
-        print(f"compare_bench: batched batch sizes differ "
-              f"({cur_b.get('batch')} vs {base_b.get('batch')}), skipping batched gate")
-    else:
-        cur_brps = cur_b.get("runs_per_sec", 0.0)
-        base_brps = base_b.get("runs_per_sec", 0.0)
-        if base_brps > 0.0:
-            bchange = (cur_brps - base_brps) / base_brps
-            print(f"batched runs/sec: current {cur_brps:.3f} vs baseline "
-                  f"{base_brps:.3f} ({bchange:+.1%})")
-            if bchange < -args.max_regress:
-                print(f"compare_bench: FAIL — batched throughput regressed more "
-                      f"than {args.max_regress:.0%}")
-                return 1
 
     print("compare_bench: OK")
     return 0
