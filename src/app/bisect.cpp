@@ -6,7 +6,7 @@
 #include "core/result_store.h"
 #include "core/scenario.h"
 #include "math/rng.h"
-#include "telemetry/trajectory_codec.h"
+#include "telemetry/trajectory.h"
 
 namespace uavres::app {
 
@@ -145,8 +145,7 @@ namespace {
 std::string SerializeOutput(const uav::RunOutput& out) {
   std::ostringstream os(std::ios::binary);
   core::WriteMissionResult(os, out.result);
-  telemetry::WriteTrajectory(os, out.trajectory);
-  return os.str();
+  return os.str() + telemetry::Encode(out.trajectory);
 }
 
 }  // namespace

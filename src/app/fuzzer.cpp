@@ -256,8 +256,7 @@ bool CheckCacheRoundTrip(const uav::RunOutput& out, std::string* detail) {
   const std::uint64_t key = 0x5EED5EEDu;
   std::ostringstream os1;
   core::WriteStoredRun(os1, key, run);
-  std::istringstream is(os1.str());
-  const auto back = core::ReadStoredRun(is, key);
+  const auto back = core::ReadStoredRun(os1.str(), key);
   if (!back) {
     *detail = "stored run failed to read back";
     return false;

@@ -1,289 +1,117 @@
 #include "bus/record.h"
 
+#include <string_view>
+
 #include "telemetry/binary_io.h"
 
 namespace uavres::bus {
-namespace {
 
-using telemetry::GetF64;
-using telemetry::GetI32;
-using telemetry::GetQuat;
-using telemetry::GetU32;
-using telemetry::GetU64;
-using telemetry::GetU8;
-using telemetry::GetVec3;
-using telemetry::PutF64;
-using telemetry::PutI32;
-using telemetry::PutQuat;
-using telemetry::PutU32;
-using telemetry::PutU64;
-using telemetry::PutU8;
-using telemetry::PutVec3;
+using telemetry::Expect;
+using telemetry::InRange;
 
-constexpr char kMagic[4] = {'U', 'V', 'B', 'S'};
-
-void PutBool(std::ostream& os, bool v) { PutU8(os, v ? 1 : 0); }
-
-bool GetBool(std::istream& is, bool& v) {
-  std::uint8_t u = 0;
-  if (!GetU8(is, u)) return false;
-  v = (u != 0);
-  return true;
+/// The fault block is present only when has_fault is set; a header read
+/// without it leaves the fault fields at their zero defaults.
+template <class V>
+void Fields(V& v, BusLogHeader& h) {
+  v(Expect{telemetry::Magic("UVBS")}, InRange{h.version, kBusLogVersion, kBusLogVersion},
+    h.mission_index, h.seed_base, h.control_rate_hz, h.has_fault);
+  if (h.has_fault) v(h.fault_type, h.fault_target, h.fault_start_s, h.fault_duration_s);
+  v(h.recovery);
 }
 
-// --- per-topic payload serializers (fixed layout, version 1) ---
-
-void PutImu(std::ostream& os, const ImuSignal& s) {
-  for (const auto& u : s.units) {
-    PutF64(os, u.t);
-    PutVec3(os, u.accel_mps2);
-    PutVec3(os, u.gyro_rads);
+/// Topic id, stamp, then the fixed payload of that topic.
+template <class V>
+void Fields(V& v, BusFrame& f) {
+  v(InRange{f.id, TopicId::kImu, TopicId::kDetector}, f.t);
+  switch (f.id) {
+    case TopicId::kImu:
+      for (auto& u : f.imu.units) v(u.t, u.accel_mps2, u.gyro_rads);
+      break;
+    case TopicId::kGps: v(f.gps.t, f.gps.pos_ned_m, f.gps.vel_ned_mps, f.gps.valid); break;
+    case TopicId::kBaro: v(f.baro.t, f.baro.alt_m); break;
+    case TopicId::kMag: v(f.mag.t, f.mag.field_body); break;
+    case TopicId::kEstimate: {
+      auto& s = f.estimate;
+      v(s.att, s.vel, s.pos, s.gyro_bias, s.accel_bias, s.body_rate);
+      break;
+    }
+    case TopicId::kEstimatorStatus: {
+      auto& s = f.estimator_status;
+      v(s.gps_pos_test_ratio, s.gps_vel_test_ratio, s.baro_test_ratio, s.mag_test_ratio,
+        s.time_since_gps_accept_s, s.gps_reset_count, s.gps_large_reset_count,
+        s.attitude_reset_count, s.numerically_healthy, s.cov_asymmetry_events,
+        s.cov_negative_variance_events, s.cov_trace_peak);
+      break;
+    }
+    case TopicId::kImuSelect: v(f.imu_select.unit); break;
+    case TopicId::kHealth: v(f.health.failsafe, f.health.reason); break;
+    case TopicId::kSetpoint: {
+      auto& s = f.setpoint;
+      v(s.sp.pos, s.sp.vel_ff, s.sp.yaw, s.sp.cruise_speed, s.flight_mode, s.landed);
+      break;
+    }
+    case TopicId::kActuator: v(f.actuator.cmds, f.actuator.collective); break;
+    case TopicId::kTruth: {
+      auto& s = f.truth.state;
+      v(s.pos, s.vel, s.att, s.omega, s.accel_world, f.truth.on_ground,
+        f.truth.induced_power_w);
+      break;
+    }
+    case TopicId::kBattery: v(f.battery.critical, f.battery.empty, f.battery.soc); break;
+    case TopicId::kDetector: {
+      auto& s = f.detector;
+      v(s.state, s.failover, s.cusum, s.plausibility, s.first_confirm_time_s);
+      break;
+    }
   }
 }
-
-bool GetImu(std::istream& is, ImuSignal& s) {
-  for (auto& u : s.units) {
-    if (!GetF64(is, u.t) || !GetVec3(is, u.accel_mps2) || !GetVec3(is, u.gyro_rads)) return false;
-  }
-  return true;
-}
-
-void PutGps(std::ostream& os, const sensors::GpsSample& s) {
-  PutF64(os, s.t);
-  PutVec3(os, s.pos_ned_m);
-  PutVec3(os, s.vel_ned_mps);
-  PutBool(os, s.valid);
-}
-
-bool GetGps(std::istream& is, sensors::GpsSample& s) {
-  return GetF64(is, s.t) && GetVec3(is, s.pos_ned_m) && GetVec3(is, s.vel_ned_mps) &&
-         GetBool(is, s.valid);
-}
-
-void PutBaro(std::ostream& os, const sensors::BaroSample& s) {
-  PutF64(os, s.t);
-  PutF64(os, s.alt_m);
-}
-
-bool GetBaro(std::istream& is, sensors::BaroSample& s) {
-  return GetF64(is, s.t) && GetF64(is, s.alt_m);
-}
-
-void PutMag(std::ostream& os, const sensors::MagSample& s) {
-  PutF64(os, s.t);
-  PutVec3(os, s.field_body);
-}
-
-bool GetMag(std::istream& is, sensors::MagSample& s) {
-  return GetF64(is, s.t) && GetVec3(is, s.field_body);
-}
-
-void PutEstimate(std::ostream& os, const estimation::NavState& s) {
-  PutQuat(os, s.att);
-  PutVec3(os, s.vel);
-  PutVec3(os, s.pos);
-  PutVec3(os, s.gyro_bias);
-  PutVec3(os, s.accel_bias);
-  PutVec3(os, s.body_rate);
-}
-
-bool GetEstimate(std::istream& is, estimation::NavState& s) {
-  return GetQuat(is, s.att) && GetVec3(is, s.vel) && GetVec3(is, s.pos) &&
-         GetVec3(is, s.gyro_bias) && GetVec3(is, s.accel_bias) && GetVec3(is, s.body_rate);
-}
-
-void PutStatus(std::ostream& os, const estimation::EkfStatus& s) {
-  PutF64(os, s.gps_pos_test_ratio);
-  PutF64(os, s.gps_vel_test_ratio);
-  PutF64(os, s.baro_test_ratio);
-  PutF64(os, s.mag_test_ratio);
-  PutF64(os, s.time_since_gps_accept_s);
-  PutI32(os, s.gps_reset_count);
-  PutI32(os, s.gps_large_reset_count);
-  PutI32(os, s.attitude_reset_count);
-  PutBool(os, s.numerically_healthy);
-  PutI32(os, s.cov_asymmetry_events);
-  PutI32(os, s.cov_negative_variance_events);
-  PutF64(os, s.cov_trace_peak);
-}
-
-bool GetStatus(std::istream& is, estimation::EkfStatus& s) {
-  return GetF64(is, s.gps_pos_test_ratio) && GetF64(is, s.gps_vel_test_ratio) &&
-         GetF64(is, s.baro_test_ratio) && GetF64(is, s.mag_test_ratio) &&
-         GetF64(is, s.time_since_gps_accept_s) && GetI32(is, s.gps_reset_count) &&
-         GetI32(is, s.gps_large_reset_count) && GetI32(is, s.attitude_reset_count) &&
-         GetBool(is, s.numerically_healthy) && GetI32(is, s.cov_asymmetry_events) &&
-         GetI32(is, s.cov_negative_variance_events) && GetF64(is, s.cov_trace_peak);
-}
-
-void PutImuSelect(std::ostream& os, const ImuSelectSignal& s) { PutI32(os, s.unit); }
-
-bool GetImuSelect(std::istream& is, ImuSelectSignal& s) {
-  std::int32_t unit = 0;
-  if (!GetI32(is, unit)) return false;
-  s.unit = unit;
-  return true;
-}
-
-void PutHealth(std::ostream& os, const HealthSignal& s) {
-  PutBool(os, s.failsafe);
-  PutU8(os, s.reason);
-}
-
-bool GetHealth(std::istream& is, HealthSignal& s) {
-  return GetBool(is, s.failsafe) && GetU8(is, s.reason);
-}
-
-void PutSetpoint(std::ostream& os, const SetpointSignal& s) {
-  PutVec3(os, s.sp.pos);
-  PutVec3(os, s.sp.vel_ff);
-  PutF64(os, s.sp.yaw);
-  PutF64(os, s.sp.cruise_speed);
-  PutU8(os, s.flight_mode);
-  PutBool(os, s.landed);
-}
-
-bool GetSetpoint(std::istream& is, SetpointSignal& s) {
-  return GetVec3(is, s.sp.pos) && GetVec3(is, s.sp.vel_ff) && GetF64(is, s.sp.yaw) &&
-         GetF64(is, s.sp.cruise_speed) && GetU8(is, s.flight_mode) && GetBool(is, s.landed);
-}
-
-void PutActuator(std::ostream& os, const ActuatorSignal& s) {
-  for (double c : s.cmds) PutF64(os, c);
-  PutF64(os, s.collective);
-}
-
-bool GetActuator(std::istream& is, ActuatorSignal& s) {
-  for (double& c : s.cmds) {
-    if (!GetF64(is, c)) return false;
-  }
-  return GetF64(is, s.collective);
-}
-
-void PutTruth(std::ostream& os, const TruthSignal& s) {
-  PutVec3(os, s.state.pos);
-  PutVec3(os, s.state.vel);
-  PutQuat(os, s.state.att);
-  PutVec3(os, s.state.omega);
-  PutVec3(os, s.state.accel_world);
-  PutBool(os, s.on_ground);
-  PutF64(os, s.induced_power_w);
-}
-
-bool GetTruth(std::istream& is, TruthSignal& s) {
-  return GetVec3(is, s.state.pos) && GetVec3(is, s.state.vel) && GetQuat(is, s.state.att) &&
-         GetVec3(is, s.state.omega) && GetVec3(is, s.state.accel_world) &&
-         GetBool(is, s.on_ground) && GetF64(is, s.induced_power_w);
-}
-
-void PutBattery(std::ostream& os, const BatterySignal& s) {
-  PutBool(os, s.critical);
-  PutBool(os, s.empty);
-  PutF64(os, s.soc);
-}
-
-bool GetBattery(std::istream& is, BatterySignal& s) {
-  return GetBool(is, s.critical) && GetBool(is, s.empty) && GetF64(is, s.soc);
-}
-
-void PutDetector(std::ostream& os, const DetectorSignal& s) {
-  PutU8(os, s.state);
-  PutBool(os, s.failover);
-  PutF64(os, s.cusum);
-  PutF64(os, s.plausibility);
-  PutF64(os, s.first_confirm_time_s);
-}
-
-bool GetDetector(std::istream& is, DetectorSignal& s) {
-  return GetU8(is, s.state) && GetBool(is, s.failover) && GetF64(is, s.cusum) &&
-         GetF64(is, s.plausibility) && GetF64(is, s.first_confirm_time_s);
-}
-
-}  // namespace
 
 bool WriteBusLogHeader(std::ostream& os, const BusLogHeader& header) {
-  os.write(kMagic, 4);
-  PutU32(os, header.version);
-  PutI32(os, header.mission_index);
-  PutU64(os, header.seed_base);
-  PutF64(os, header.control_rate_hz);
-  PutBool(os, header.has_fault);
-  if (header.has_fault) {
-    PutU8(os, header.fault_type);
-    PutU8(os, header.fault_target);
-    PutF64(os, header.fault_start_s);
-    PutF64(os, header.fault_duration_s);
-  }
-  PutBool(os, header.recovery);
-  return static_cast<bool>(os);
+  return static_cast<bool>(os << telemetry::Encode(header));
 }
 
 bool ReadBusLogHeader(std::istream& is, BusLogHeader& header) {
-  char magic[4] = {};
-  if (!is.read(magic, 4)) return false;
-  for (int i = 0; i < 4; ++i) {
-    if (magic[i] != kMagic[i]) return false;
-  }
-  if (!GetU32(is, header.version) || header.version != kBusLogVersion) return false;
-  if (!GetI32(is, header.mission_index) || !GetU64(is, header.seed_base) ||
-      !GetF64(is, header.control_rate_hz) || !GetBool(is, header.has_fault)) {
-    return false;
-  }
-  if (header.has_fault) {
-    if (!GetU8(is, header.fault_type) || !GetU8(is, header.fault_target) ||
-        !GetF64(is, header.fault_start_s) || !GetF64(is, header.fault_duration_s)) {
+  // The header's size depends on has_fault: try the short form, then the
+  // long one, reading only the bytes each needs.
+  std::string bytes;
+  for (const bool has_fault : {false, true}) {
+    BusLogHeader h;
+    h.has_fault = has_fault;
+    const std::size_t have = bytes.size();
+    bytes.resize(telemetry::Encode(h).size());
+    if (!is.read(bytes.data() + have, static_cast<std::streamsize>(bytes.size() - have))) {
       return false;
     }
-  } else {
-    header.fault_type = 0;
-    header.fault_target = 0;
-    header.fault_start_s = 0.0;
-    header.fault_duration_s = 0.0;
+    if (telemetry::Decode(bytes, h)) {
+      header = h;
+      return true;
+    }
   }
-  return GetBool(is, header.recovery);
+  return false;
 }
 
 void WriteBusFrame(std::ostream& os, const BusFrame& frame) {
-  PutU8(os, static_cast<std::uint8_t>(frame.id));
-  PutF64(os, frame.t);
-  switch (frame.id) {
-    case TopicId::kImu: PutImu(os, frame.imu); break;
-    case TopicId::kGps: PutGps(os, frame.gps); break;
-    case TopicId::kBaro: PutBaro(os, frame.baro); break;
-    case TopicId::kMag: PutMag(os, frame.mag); break;
-    case TopicId::kEstimate: PutEstimate(os, frame.estimate); break;
-    case TopicId::kEstimatorStatus: PutStatus(os, frame.estimator_status); break;
-    case TopicId::kImuSelect: PutImuSelect(os, frame.imu_select); break;
-    case TopicId::kHealth: PutHealth(os, frame.health); break;
-    case TopicId::kSetpoint: PutSetpoint(os, frame.setpoint); break;
-    case TopicId::kActuator: PutActuator(os, frame.actuator); break;
-    case TopicId::kTruth: PutTruth(os, frame.truth); break;
-    case TopicId::kBattery: PutBattery(os, frame.battery); break;
-    case TopicId::kDetector: PutDetector(os, frame.detector); break;
-  }
+  os << telemetry::Encode(frame);
 }
 
 bool ReadBusFrame(std::istream& is, BusFrame& frame) {
-  std::uint8_t id = 0;
-  if (!GetU8(is, id) || id >= kNumTopics) return false;
-  frame.id = static_cast<TopicId>(id);
-  if (!GetF64(is, frame.t)) return false;
-  switch (frame.id) {
-    case TopicId::kImu: return GetImu(is, frame.imu);
-    case TopicId::kGps: return GetGps(is, frame.gps);
-    case TopicId::kBaro: return GetBaro(is, frame.baro);
-    case TopicId::kMag: return GetMag(is, frame.mag);
-    case TopicId::kEstimate: return GetEstimate(is, frame.estimate);
-    case TopicId::kEstimatorStatus: return GetStatus(is, frame.estimator_status);
-    case TopicId::kImuSelect: return GetImuSelect(is, frame.imu_select);
-    case TopicId::kHealth: return GetHealth(is, frame.health);
-    case TopicId::kSetpoint: return GetSetpoint(is, frame.setpoint);
-    case TopicId::kActuator: return GetActuator(is, frame.actuator);
-    case TopicId::kTruth: return GetTruth(is, frame.truth);
-    case TopicId::kBattery: return GetBattery(is, frame.battery);
-    case TopicId::kDetector: return GetDetector(is, frame.detector);
-  }
-  return false;
+  // Frames are read one at a time (a log holds millions); each topic's
+  // frame has a fixed size, measured once from a default frame.
+  static const std::array<std::size_t, kNumTopics> kFrameBytes = [] {
+    std::array<std::size_t, kNumTopics> sizes{};
+    for (int id = 0; id < kNumTopics; ++id) {
+      BusFrame f;
+      f.id = static_cast<TopicId>(id);
+      sizes[static_cast<std::size_t>(id)] = telemetry::Encode(f).size();
+    }
+    return sizes;
+  }();
+  char bytes[256] = {};
+  if (!is.get(bytes[0])) return false;
+  const auto id = static_cast<std::uint8_t>(bytes[0]);
+  if (id >= kNumTopics || kFrameBytes[id] > sizeof bytes) return false;
+  if (!is.read(bytes + 1, static_cast<std::streamsize>(kFrameBytes[id] - 1))) return false;
+  return telemetry::Decode(std::string_view(bytes, kFrameBytes[id]), frame);
 }
 
 void BusTap::Capture() {
@@ -298,7 +126,10 @@ void BusTap::Capture() {
     frame.id = id;
     frame.t = topic.stamp();
     assign();
-    WriteBusFrame(*os_, frame);
+    buffer_.clear();
+    telemetry::Encoder encoder(&buffer_);
+    encoder(frame);
+    os_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
     ++frames_written_;
   };
   capture(bus_->imu, TopicId::kImu, [&] { frame.imu = bus_->imu.Latest(); });

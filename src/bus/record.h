@@ -8,12 +8,9 @@
 // is what lets an offline estimator re-run consume the stream sequentially
 // and reproduce the online EKF bit-for-bit (src/uav/bus_replay.h).
 //
-// Format (little-endian, telemetry/binary_io.h conventions):
-//   header : magic "UVBS", u32 version, i32 mission, u64 seed_base,
-//            f64 control_rate_hz, u8 has_fault,
-//            [u8 fault_type, u8 fault_target, f64 start_s, f64 duration_s],
-//            u8 recovery (v2+)
-//   frames : u8 topic_id, f64 stamp, fixed per-topic payload (see record.cpp)
+// The header (magic "UVBS", provenance, optional fault block) and the frames
+// (u8 topic id, f64 stamp, fixed per-topic payload) are declared once, as
+// field lists in record.cpp on the telemetry/binary_io.h codec.
 //
 // Version history: v1 had no recovery flag and no kDetector topic; v2 adds
 // both. Readers reject other versions outright — logs are regenerable test
@@ -27,6 +24,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "bus/topics.h"
 
@@ -102,6 +100,7 @@ class BusTap {
   std::ostream* os_;      // not owned
   std::array<std::uint64_t, kNumTopics> seen_{};
   std::uint64_t frames_written_{0};
+  std::string buffer_;  ///< one frame's bytes, reused across captures
 };
 
 }  // namespace uavres::bus

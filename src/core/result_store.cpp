@@ -5,7 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -13,15 +12,12 @@
 #include "telemetry/binary_io.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace.h"
-#include "telemetry/trajectory_codec.h"
 
 namespace uavres::core {
 namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kMagic[4] = {'U', 'V', 'R', 'S'};
-constexpr std::uint32_t kFooter = 0x5AFEC0DE;
 constexpr std::uint32_t kMaxNameLen = 4096;
 
 /// Process-unique token for temp-file names: two writers — threads of one
@@ -122,108 +118,68 @@ std::uint64_t ExperimentCacheKey(const uav::RunConfig& run, const DroneSpec& spe
   return h.digest();
 }
 
-void WriteMissionResult(std::ostream& os, const MissionResult& r) {
-  using telemetry::PutF64;
-  using telemetry::PutI32;
-  using telemetry::PutString;
-  using telemetry::PutU8;
-  PutI32(os, r.mission_index);
-  PutString(os, r.mission_name);
-  PutU8(os, r.is_gold ? 1 : 0);
-  PutU8(os, static_cast<std::uint8_t>(r.fault.type));
-  PutU8(os, static_cast<std::uint8_t>(r.fault.target));
-  PutF64(os, r.fault.start_time_s);
-  PutF64(os, r.fault.duration_s);
-  PutU8(os, static_cast<std::uint8_t>(r.outcome));
-  PutF64(os, r.flight_duration_s);
-  PutF64(os, r.distance_km);
-  PutI32(os, r.inner_violations);
-  PutI32(os, r.outer_violations);
-  PutF64(os, r.max_deviation_m);
-  PutU8(os, static_cast<std::uint8_t>(r.failsafe_reason));
-  PutF64(os, r.failsafe_time_s);
-  PutString(os, r.crash_reason);
-  PutF64(os, r.crash_time_s);
-  // Recovery fields (appended; entries written before they existed fail the
-  // footer check on read and are recomputed — the store is self-invalidating).
-  PutU8(os, r.detector_enabled ? 1 : 0);
-  PutF64(os, r.detection_time_s);
-  PutF64(os, r.detection_latency_s);
-  PutI32(os, r.false_positives);
-  PutU8(os, r.recovery_engaged ? 1 : 0);
-  PutU8(os, r.recovery_success ? 1 : 0);
+template <class V>
+void Fields(V& v, MissionResult& r) {
+  using telemetry::Capped;
+  using telemetry::InRange;
+  v(r.mission_index, Capped{r.mission_name, kMaxNameLen}, r.is_gold,
+    InRange{r.fault.type, FaultType::kFixed, FaultType::kDrift},
+    InRange{r.fault.target, FaultTarget::kAccelerometer, FaultTarget::kImu},
+    r.fault.start_time_s, r.fault.duration_s,
+    InRange{r.outcome, MissionOutcome::kCompleted, MissionOutcome::kTimeout},
+    r.flight_duration_s, r.distance_km, r.inner_violations, r.outer_violations,
+    r.max_deviation_m,
+    InRange{r.failsafe_reason, nav::FailsafeReason::kNone,
+            nav::FailsafeReason::kEstimatorFailure},
+    r.failsafe_time_s, Capped{r.crash_reason, kMaxNameLen}, r.crash_time_s,
+    // Recovery fields (appended; entries written before they existed fail the
+    // footer check on read and are recomputed — the store is self-invalidating).
+    r.detector_enabled, r.detection_time_s, r.detection_latency_s, r.false_positives,
+    r.recovery_engaged, r.recovery_success);
 }
 
-bool ReadMissionResult(std::istream& is, MissionResult& r) {
-  using telemetry::GetF64;
-  using telemetry::GetI32;
-  using telemetry::GetString;
-  using telemetry::GetU8;
-  std::uint8_t is_gold = 0, fault_type = 0, fault_target = 0, outcome = 0, reason = 0;
-  std::uint8_t detector_enabled = 0, recovery_engaged = 0, recovery_success = 0;
-  if (!GetI32(is, r.mission_index) || !GetString(is, r.mission_name, kMaxNameLen) ||
-      !GetU8(is, is_gold) || !GetU8(is, fault_type) || !GetU8(is, fault_target) ||
-      !GetF64(is, r.fault.start_time_s) || !GetF64(is, r.fault.duration_s) ||
-      !GetU8(is, outcome) || !GetF64(is, r.flight_duration_s) ||
-      !GetF64(is, r.distance_km) || !GetI32(is, r.inner_violations) ||
-      !GetI32(is, r.outer_violations) || !GetF64(is, r.max_deviation_m) ||
-      !GetU8(is, reason) || !GetF64(is, r.failsafe_time_s) ||
-      !GetString(is, r.crash_reason, kMaxNameLen) || !GetF64(is, r.crash_time_s) ||
-      !GetU8(is, detector_enabled) || !GetF64(is, r.detection_time_s) ||
-      !GetF64(is, r.detection_latency_s) || !GetI32(is, r.false_positives) ||
-      !GetU8(is, recovery_engaged) || !GetU8(is, recovery_success)) {
-    return false;
-  }
-  if (fault_type > static_cast<std::uint8_t>(FaultType::kDrift)) return false;
-  if (fault_target > static_cast<std::uint8_t>(FaultTarget::kImu)) return false;
-  if (outcome > static_cast<std::uint8_t>(MissionOutcome::kTimeout)) return false;
-  if (reason > static_cast<std::uint8_t>(nav::FailsafeReason::kEstimatorFailure)) {
-    return false;
-  }
-  r.is_gold = (is_gold != 0);
-  r.fault.type = static_cast<FaultType>(fault_type);
-  r.fault.target = static_cast<FaultTarget>(fault_target);
-  r.outcome = static_cast<MissionOutcome>(outcome);
-  r.failsafe_reason = static_cast<nav::FailsafeReason>(reason);
-  r.detector_enabled = (detector_enabled != 0);
-  r.recovery_engaged = (recovery_engaged != 0);
-  r.recovery_success = (recovery_success != 0);
-  return true;
+namespace {
+
+using telemetry::Expect;
+
+/// `.uvrs` entry layout.
+auto RunEntry(std::uint64_t key, auto& run) {
+  return [key, &run](auto& v) {
+    v(Expect{telemetry::Magic("UVRS")}, Expect{kResultStoreSchemaVersion}, Expect{key},
+      run.result, run.trajectory, Expect{telemetry::kArtifactFooter});
+  };
+}
+
+/// `.uvfl` entry layout: the key, then the self-framed record.
+auto FleetEntry(std::uint64_t key, auto& record) {
+  return [key, &record](auto& v) { v(Expect{key}, record); };
+}
+
+}  // namespace
+
+void WriteMissionResult(std::ostream& os, const MissionResult& r) {
+  os << telemetry::Encode(r);
+}
+
+bool ReadMissionResult(std::string_view bytes, MissionResult& r) {
+  return telemetry::Decode(bytes, r);
 }
 
 void WriteStoredRun(std::ostream& os, std::uint64_t key, const StoredRun& run) {
-  os.write(kMagic, 4);
-  telemetry::PutU32(os, kResultStoreSchemaVersion);
-  telemetry::PutU64(os, key);
-  WriteMissionResult(os, run.result);
-  telemetry::PutU8(os, run.trajectory.has_value() ? 1 : 0);
-  if (run.trajectory) telemetry::WriteTrajectory(os, *run.trajectory);
-  telemetry::PutU32(os, kFooter);
+  os << telemetry::Encode(RunEntry(key, run));
 }
 
-std::optional<StoredRun> ReadStoredRun(std::istream& is, std::uint64_t expected_key) {
-  char magic[4];
-  if (!is.read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) return std::nullopt;
-  std::uint32_t version = 0;
-  std::uint64_t key = 0;
-  if (!telemetry::GetU32(is, version) || version != kResultStoreSchemaVersion) {
-    return std::nullopt;
-  }
-  if (!telemetry::GetU64(is, key) || key != expected_key) return std::nullopt;
-
+std::optional<StoredRun> ReadStoredRun(std::string_view bytes, std::uint64_t expected_key) {
   StoredRun run;
-  if (!ReadMissionResult(is, run.result)) return std::nullopt;
-  std::uint8_t has_trajectory = 0;
-  if (!telemetry::GetU8(is, has_trajectory)) return std::nullopt;
-  if (has_trajectory != 0) {
-    auto trajectory = telemetry::ReadTrajectory(is);
-    if (!trajectory) return std::nullopt;
-    run.trajectory = std::move(*trajectory);
-  }
-  std::uint32_t footer = 0;
-  if (!telemetry::GetU32(is, footer) || footer != kFooter) return std::nullopt;
-  if (is.peek() != std::istream::traits_type::eof()) return std::nullopt;  // trailing junk
+  if (!telemetry::Decode(bytes, RunEntry(expected_key, run))) return std::nullopt;
   return run;
+}
+
+std::optional<telemetry::FleetRecord> ReadFleetEntry(std::string_view bytes,
+                                                     std::uint64_t expected_key) {
+  telemetry::FleetRecord record;
+  if (!telemetry::Decode(bytes, FleetEntry(expected_key, record))) return std::nullopt;
+  return record;
 }
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
@@ -237,51 +193,42 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-std::string ResultStore::EntryPath(std::uint64_t key) const {
-  // Shard by the top byte: FNV-1a output is uniform, so 256 subdirectories
-  // split a million-entry store into ~4k files each and spread same-instant
-  // commits from many serve clients across distinct directory inodes.
-  char shard[3];
-  std::snprintf(shard, sizeof shard, "%02x",
-                static_cast<unsigned>((key >> 56) & 0xFF));
-  return dir_ + "/" + shard + "/" + KeyHex(key) + ".uvrs";
+std::string ResultStore::EntryPath(std::uint64_t key, std::string_view ext) const {
+  // Shard by the top byte, the first two hex digits: FNV-1a output is
+  // uniform, so 256 subdirectories split a million-entry store into ~4k
+  // files each and spread same-instant commits from many serve clients
+  // across distinct directory inodes.
+  const std::string hex = KeyHex(key);
+  return dir_ + "/" + hex.substr(0, 2) + "/" + hex + std::string(ext);
 }
 
 bool ResultStore::EnsureShard(std::uint64_t key) {
-  const std::size_t shard = static_cast<std::size_t>((key >> 56) & 0xFF);
+  const std::size_t shard = static_cast<std::size_t>(key >> 56);
   if (shard_ready_[shard].load(std::memory_order_acquire)) return true;
-  char name[3];
-  std::snprintf(name, sizeof name, "%02x", static_cast<unsigned>(shard));
   std::error_code ec;
-  fs::create_directories(dir_ + "/" + name, ec);
+  fs::create_directories(fs::path(EntryPath(key)).parent_path(), ec);
   if (ec) return false;
   shard_ready_[shard].store(true, std::memory_order_release);
   return true;
 }
 
-std::optional<StoredRun> ResultStore::Load(std::uint64_t key, bool require_trajectory) {
+template <class Read>
+auto ResultStore::LoadEntry(std::uint64_t key, std::string_view ext, Read&& read)
+    -> decltype(read(std::string_view{})) {
   if (!enabled()) return std::nullopt;
   UAVRES_TRACE_SCOPE("cache/load");
-  const std::string path = EntryPath(key);
-  std::optional<StoredRun> run;
-  bool existed = false;
-  {
-    std::ifstream is(path, std::ios::binary);
-    existed = static_cast<bool>(is);
-    if (existed) {
-      run = ReadStoredRun(is, key);
-      if (run && require_trajectory && !run->trajectory) run.reset();
-    }
-  }
+  const std::string path = EntryPath(key, ext);
+  const std::optional<std::string> bytes = telemetry::ReadFileBytes(path);
+  auto entry = bytes ? read(*bytes) : std::nullopt;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (run) {
+  if (entry) {
     ++stats_.hits;
     UAVRES_COUNT("cache.hits");
-    return run;
+    return entry;
   }
   ++stats_.misses;
   UAVRES_COUNT("cache.misses");
-  if (existed) {
+  if (bytes) {
     ++stats_.corrupt;
     UAVRES_COUNT("cache.corrupt");
     std::error_code ec;
@@ -290,26 +237,25 @@ std::optional<StoredRun> ResultStore::Load(std::uint64_t key, bool require_traje
   return std::nullopt;
 }
 
-bool ResultStore::Store(std::uint64_t key, const StoredRun& run) {
-  if (!enabled()) return false;
+bool ResultStore::Commit(std::uint64_t key, std::string_view ext, const std::string& bytes) {
   UAVRES_TRACE_SCOPE("cache/store");
   if (!EnsureShard(key)) return false;
   // The temp lives in the destination shard so the final rename never
   // crosses a directory (and stays atomic on every POSIX filesystem).
-  const std::string tmp = EntryPath(key) + ".tmp-" + KeyHex(TempToken());
+  const std::string path = EntryPath(key, ext);
+  const std::string tmp = path + ".tmp-" + KeyHex(TempToken());
+  std::error_code ec;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return false;
-    WriteStoredRun(os, key, run);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    os.close();
     if (!os) {
-      os.close();
-      std::error_code ec;
       fs::remove(tmp, ec);
       return false;
     }
   }
-  std::error_code ec;
-  fs::rename(tmp, EntryPath(key), ec);
+  fs::rename(tmp, path, ec);
   if (ec) {
     fs::remove(tmp, ec);
     return false;
@@ -320,76 +266,26 @@ bool ResultStore::Store(std::uint64_t key, const StoredRun& run) {
   return true;
 }
 
-std::string ResultStore::FleetEntryPath(std::uint64_t key) const {
-  char shard[3];
-  std::snprintf(shard, sizeof shard, "%02x",
-                static_cast<unsigned>((key >> 56) & 0xFF));
-  return dir_ + "/" + shard + "/" + KeyHex(key) + ".uvfl";
+std::optional<StoredRun> ResultStore::Load(std::uint64_t key, bool require_trajectory) {
+  return LoadEntry(key, kRunEntryExt, [&](std::string_view bytes) {
+    auto run = ReadStoredRun(bytes, key);
+    if (run && require_trajectory && !run->trajectory) run.reset();
+    return run;
+  });
 }
 
 std::optional<telemetry::FleetRecord> ResultStore::LoadFleet(std::uint64_t key) {
-  if (!enabled()) return std::nullopt;
-  UAVRES_TRACE_SCOPE("cache/load_fleet");
-  const std::string path = FleetEntryPath(key);
-  std::optional<telemetry::FleetRecord> record;
-  bool existed = false;
-  {
-    std::ifstream is(path, std::ios::binary);
-    existed = static_cast<bool>(is);
-    if (existed) {
-      std::uint64_t stored_key = 0;
-      telemetry::FleetRecord r;
-      if (telemetry::GetU64(is, stored_key) && stored_key == key &&
-          telemetry::ReadFleetRecord(is, r) &&
-          is.peek() == std::istream::traits_type::eof()) {
-        record = std::move(r);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (record) {
-    ++stats_.hits;
-    UAVRES_COUNT("cache.hits");
-    return record;
-  }
-  ++stats_.misses;
-  UAVRES_COUNT("cache.misses");
-  if (existed) {
-    ++stats_.corrupt;
-    UAVRES_COUNT("cache.corrupt");
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-  return std::nullopt;
+  return LoadEntry(key, kFleetEntryExt,
+                   [&](std::string_view bytes) { return ReadFleetEntry(bytes, key); });
 }
 
-bool ResultStore::StoreFleet(std::uint64_t key, const telemetry::FleetRecord& record) {
-  if (!enabled()) return false;
-  UAVRES_TRACE_SCOPE("cache/store_fleet");
-  if (!EnsureShard(key)) return false;
-  const std::string tmp = FleetEntryPath(key) + ".tmp-" + KeyHex(TempToken());
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    telemetry::PutU64(os, key);
-    telemetry::WriteFleetRecord(os, record);
-    if (!os) {
-      os.close();
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, FleetEntryPath(key), ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.stores;
-  UAVRES_COUNT("cache.stores");
-  return true;
+bool ResultStore::Store(std::uint64_t key, const StoredRun& run) {
+  return enabled() && Commit(key, kRunEntryExt, telemetry::Encode(RunEntry(key, run)));
+}
+
+bool ResultStore::Store(std::uint64_t key, const telemetry::FleetRecord& record) {
+  return enabled() &&
+         Commit(key, kFleetEntryExt, telemetry::Encode(FleetEntry(key, record)));
 }
 
 CacheStats ResultStore::stats() const {

@@ -22,10 +22,11 @@
 //   * All bench/table/figure binaries pointed at one directory (e.g. via
 //     UAVRES_CACHE_DIR) share a single cache instead of re-simulating.
 //
-// Entry layout (little-endian, see telemetry/binary_io.h):
-//   <dir>/<hh>/<16-hex-key>.uvrs, hh = top byte of the key:
-//   magic "UVRS" | u32 schema | u64 key | MissionResult | u8 has_trajectory
-//   | [Trajectory] | u32 footer 0x5AFEC0DE | EOF
+// Entries live at <dir>/<hh>/<16-hex-key><ext>, hh = top byte of the key:
+// `.uvrs` (magic, schema, key, MissionResult, optional trajectory, footer)
+// and `.uvfl` (key, FleetRecord), declared once as field lists in
+// result_store.cpp (telemetry/binary_io.h). Both kinds share one load path
+// (read, decode strictly, delete on failure) and one commit path.
 //
 // Schema-version bump rules: the store's version IS the experiment-identity
 // schema telemetry::kSpecSchemaVersion (core/api.h documents the contract).
@@ -41,11 +42,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <istream>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/metrics.h"
@@ -136,33 +137,33 @@ class ResultStore {
   /// entries are deleted so the recomputed run can replace them.
   std::optional<StoredRun> Load(std::uint64_t key, bool require_trajectory = false);
 
+  /// Fleet entries (DESIGN.md §18) share the directory, sharding and
+  /// commit path but hold a telemetry::FleetRecord under `.uvfl`, keyed by
+  /// core::FleetCacheKey (a disjoint key domain). Same contract as Load.
+  std::optional<telemetry::FleetRecord> LoadFleet(std::uint64_t key);
+
   /// Atomically persists the entry (unique temp file in the key's shard +
   /// rename). Returns false — never throws — on IO failure; the campaign
   /// still completes.
   bool Store(std::uint64_t key, const StoredRun& run);
-
-  // --- Fleet entries (DESIGN.md §18) -------------------------------------
-  // Fleet experiments share the directory, sharding and atomic-commit
-  // machinery but serialize a telemetry::FleetRecord under the `.uvfl`
-  // extension, keyed by core::FleetCacheKey (a disjoint key domain).
-
-  /// Loads the fleet entry for `key`; nullopt on absence or corruption
-  /// (corrupt entries are deleted and recomputed, as for Load).
-  std::optional<telemetry::FleetRecord> LoadFleet(std::uint64_t key);
-
-  /// Atomically persists one fleet record. False — never throws — on IO
-  /// failure.
-  bool StoreFleet(std::uint64_t key, const telemetry::FleetRecord& record);
+  bool Store(std::uint64_t key, const telemetry::FleetRecord& record);
 
   CacheStats stats() const;
 
-  /// Sharded entry path `<dir>/<hh>/<16-hex>.uvrs` (exposed for tests).
-  std::string EntryPath(std::uint64_t key) const;
+  /// Sharded entry path `<dir>/<hh>/<16-hex><ext>` (exposed for tests).
+  std::string EntryPath(std::uint64_t key, std::string_view ext = kRunEntryExt) const;
 
-  /// Fleet twin of EntryPath: `<dir>/<hh>/<16-hex>.uvfl`.
-  std::string FleetEntryPath(std::uint64_t key) const;
+  static constexpr std::string_view kRunEntryExt = ".uvrs";
+  static constexpr std::string_view kFleetEntryExt = ".uvfl";
 
  private:
+  /// The one load path: a hit when `read` returns a value for the entry's
+  /// bytes, else a miss — and a corrupt entry, deleted, when it existed.
+  template <class Read>
+  auto LoadEntry(std::uint64_t key, std::string_view ext, Read&& read)
+      -> decltype(read(std::string_view{}));
+  /// The one commit path: temp file in the key's shard, then rename.
+  bool Commit(std::uint64_t key, std::string_view ext, const std::string& bytes);
   bool EnsureShard(std::uint64_t key);
 
   std::string dir_;
@@ -200,12 +201,17 @@ class SingleFlight {
 };
 
 /// Serialization of one MissionResult (exposed for tests and for comparing
-/// results bit-exactly across thread schedules).
+/// results bit-exactly across thread schedules). The reader takes the whole
+/// byte string and rejects trailing bytes.
 void WriteMissionResult(std::ostream& os, const MissionResult& r);
-bool ReadMissionResult(std::istream& is, MissionResult& r);
+bool ReadMissionResult(std::string_view bytes, MissionResult& r);
 
-/// Serialization of a full store entry (exposed for tests).
+/// Serialization of a full `.uvrs` entry (exposed for tests).
 void WriteStoredRun(std::ostream& os, std::uint64_t key, const StoredRun& run);
-std::optional<StoredRun> ReadStoredRun(std::istream& is, std::uint64_t expected_key);
+std::optional<StoredRun> ReadStoredRun(std::string_view bytes, std::uint64_t expected_key);
+
+/// Reader of a full `.uvfl` entry: the key, then the record.
+std::optional<telemetry::FleetRecord> ReadFleetEntry(std::string_view bytes,
+                                                     std::uint64_t expected_key);
 
 }  // namespace uavres::core

@@ -13,7 +13,8 @@
 // are host-order — a snapshot restores the exact bits it captured, which is
 // what the fork-vs-full-run identity tests demand — and the reader never
 // reads past its buffer: a truncated or corrupted stream zero-fills and
-// latches ok() == false instead of invoking UB.
+// latches ok() == false instead of invoking UB, as does a visited bool whose
+// byte is not 0 or 1 (a bool inside a byte-copied struct is not checked).
 //
 // Configuration members (tunings, plans, physical parameters) are
 // deliberately *not* visited: restore targets a freshly constructed object
@@ -148,6 +149,13 @@ class StateReader {
       for (auto& e : x) Field(e);
     } else if constexpr (state_detail::IsUniquePtr<T>::value) {
       Field(*x);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      // Through a byte: any value but 0 or 1 is corruption, and copying it
+      // straight into a bool would be undefined.
+      std::uint8_t b = 0;
+      Raw(b);
+      if (b > 1) ok_ = false;
+      x = b == 1;
     } else {
       static_assert(std::is_trivially_copyable_v<T>,
                     "state member needs a VisitState or a structural overload");
@@ -169,7 +177,11 @@ class StateReader {
       pos_ = size_;
       return;
     }
-    std::memcpy(&v, data_ + pos_, sizeof(T));
+    // Through a local: GCC 12 flags a memcpy straight into a member reached
+    // through a unique_ptr (-Wstringop-overflow, PhysicsModule::RestoreState).
+    T copy{};
+    std::memcpy(&copy, data_ + pos_, sizeof(T));
+    v = copy;
     pos_ += sizeof(T);
   }
 

@@ -1,15 +1,12 @@
 #include "serve/client.h"
 
-#include <sstream>
 #include <unordered_map>
 
 #include "serve/net.h"
 
 namespace uavres::serve {
 
-using telemetry::RejectReason;
 using telemetry::RequestState;
-using telemetry::ResultSource;
 using telemetry::SpecFrame;
 using telemetry::SpecMsgType;
 using telemetry::WireRequest;
@@ -59,7 +56,7 @@ bool Client::Connect(std::string* error) {
   fd_ = net::Connect(opts_.host, opts_.port, error);
   if (fd_ < 0) return false;
   if (!SendFrame(SpecMsgType::kHello,
-                 telemetry::EncodeHello(telemetry::kSpecSchemaVersion, opts_.name),
+                 telemetry::Encode(telemetry::WireHello{telemetry::kSpecSchemaVersion, opts_.name}),
                  error)) {
     Close();
     return false;
@@ -70,19 +67,16 @@ bool Client::Connect(std::string* error) {
     return false;
   }
   if (frame.type == SpecMsgType::kReject) {
-    std::uint64_t id = 0;
-    RejectReason reason = RejectReason::kNone;
-    std::string detail;
-    telemetry::DecodeReject(frame.payload, id, reason, detail);
-    if (error) *error = "handshake rejected (" + std::string(ToString(reason)) +
-                        "): " + detail;
+    telemetry::WireReject reject;
+    telemetry::Decode(frame.payload, reject);
+    if (error) *error = "handshake rejected (" + std::string(ToString(reject.reason)) +
+                        "): " + reject.detail;
     Close();
     return false;
   }
-  std::uint32_t version = 0;
-  if (frame.type != SpecMsgType::kHelloAck ||
-      !telemetry::DecodeHelloAck(frame.payload, version) ||
-      version != telemetry::kSpecSchemaVersion) {
+  telemetry::WireHelloAck ack;
+  if (frame.type != SpecMsgType::kHelloAck || !telemetry::Decode(frame.payload, ack) ||
+      ack.schema_version != telemetry::kSpecSchemaVersion) {
     if (error) *error = "unexpected handshake reply";
     Close();
     return false;
@@ -99,8 +93,8 @@ bool Client::SubmitAndWait(const std::vector<telemetry::WireSpec>& specs,
     return false;
   }
 
-  std::vector<WireRequest> batch;
-  batch.reserve(specs.size());
+  telemetry::WireBatch batch;
+  batch.requests.reserve(specs.size());
   out.resize(specs.size());
   std::unordered_map<std::uint64_t, std::size_t> index;
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -109,12 +103,11 @@ bool Client::SubmitAndWait(const std::vector<telemetry::WireSpec>& specs,
     req.spec = specs[i];
     out[i].request_id = req.request_id;
     index.emplace(req.request_id, i);
-    batch.push_back(req);
+    batch.requests.push_back(req);
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (!SendFrame(SpecMsgType::kSubmitBatch, telemetry::EncodeSubmitBatch(batch),
-                 error)) {
+  if (!SendFrame(SpecMsgType::kSubmitBatch, telemetry::Encode(batch), error)) {
     return false;
   }
 
@@ -126,33 +119,29 @@ bool Client::SubmitAndWait(const std::vector<telemetry::WireSpec>& specs,
     if (!ReadFrame(frame, error)) return false;
     switch (frame.type) {
       case SpecMsgType::kProgress: {
-        std::uint64_t id = 0;
-        RequestState state = RequestState::kQueued;
-        if (!telemetry::DecodeProgress(frame.payload, id, state)) break;
-        if (auto it = index.find(id); it != index.end()) {
-          if (state == RequestState::kAttached) out[it->second].attached = true;
+        telemetry::WireProgress progress;
+        if (!telemetry::Decode(frame.payload, progress)) break;
+        if (auto it = index.find(progress.request_id); it != index.end()) {
+          if (progress.state == RequestState::kAttached) out[it->second].attached = true;
         }
         break;
       }
       case SpecMsgType::kResult: {
-        std::uint64_t id = 0;
-        ResultSource source = ResultSource::kComputed;
-        std::string bytes;
-        if (!telemetry::DecodeResult(frame.payload, id, source, bytes)) {
+        telemetry::WireResult result;
+        if (!telemetry::Decode(frame.payload, result)) {
           if (error) *error = "undecodable result frame";
           return false;
         }
-        auto it = index.find(id);
+        auto it = index.find(result.request_id);
         if (it == index.end()) break;  // stale id from a previous batch
         Outcome& o = out[it->second];
-        std::istringstream is(bytes);
-        if (!core::ReadMissionResult(is, o.result)) {
+        if (!core::ReadMissionResult(result.result_bytes, o.result)) {
           if (error) *error = "undecodable MissionResult payload";
           return false;
         }
         o.ok = true;
-        o.source = source;
-        o.result_bytes = std::move(bytes);
+        o.source = result.source;
+        o.result_bytes = std::move(result.result_bytes);
         o.latency_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -160,24 +149,22 @@ bool Client::SubmitAndWait(const std::vector<telemetry::WireSpec>& specs,
         break;
       }
       case SpecMsgType::kReject: {
-        std::uint64_t id = 0;
-        RejectReason reason = RejectReason::kNone;
-        std::string detail;
-        if (!telemetry::DecodeReject(frame.payload, id, reason, detail)) {
+        telemetry::WireReject reject;
+        if (!telemetry::Decode(frame.payload, reject)) {
           if (error) *error = "undecodable reject frame";
           return false;
         }
-        if (id == 0) {  // connection-level reject: protocol failure
+        if (reject.request_id == 0) {  // connection-level reject: protocol failure
           if (error) *error = "server rejected connection (" +
-                              std::string(ToString(reason)) + "): " + detail;
+                              std::string(ToString(reject.reason)) + "): " + reject.detail;
           return false;
         }
-        auto it = index.find(id);
+        auto it = index.find(reject.request_id);
         if (it == index.end()) break;
         Outcome& o = out[it->second];
         o.ok = false;
-        o.reject = reason;
-        o.reject_detail = std::move(detail);
+        o.reject = reject.reason;
+        o.reject_detail = std::move(reject.detail);
         o.latency_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -204,10 +191,13 @@ bool Client::QueryStats(telemetry::ServeStats& stats, std::string& metrics_json,
     if (frame.type == SpecMsgType::kStatsReply) break;
     // Stats may interleave with late frames from an aborted batch; skip.
   }
-  if (!telemetry::DecodeStatsReply(frame.payload, stats, metrics_json)) {
+  telemetry::WireStatsReply reply;
+  if (!telemetry::Decode(frame.payload, reply)) {
     if (error) *error = "undecodable stats reply";
     return false;
   }
+  stats = reply.stats;
+  metrics_json = std::move(reply.metrics_json);
   return true;
 }
 

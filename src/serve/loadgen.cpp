@@ -226,14 +226,14 @@ int RunLoadgen(const LoadgenConfig& cfg) {
                  verified, mismatches);
   }
 
-  const double p50 = core::Quantile(latencies, 0.50);
-  const double p99 = core::Quantile(latencies, 0.99);
   double mean = 0.0, max = 0.0;
   for (double v : latencies) {
     mean += v;
     max = std::max(max, v);
   }
   if (!latencies.empty()) mean /= static_cast<double>(latencies.size());
+  const double p50 = core::Quantile(latencies, 0.50);
+  const double p99 = core::Quantile(std::move(latencies), 0.99);
   const std::uint64_t dedup_hits = stats.store_hits + stats.singleflight;
   const double hit_rate =
       stats.completed > 0

@@ -9,11 +9,14 @@
 
 namespace uavres::serve {
 
+using telemetry::Encode;
 using telemetry::RejectReason;
 using telemetry::RequestState;
 using telemetry::ResultSource;
 using telemetry::SpecFrame;
 using telemetry::SpecMsgType;
+using telemetry::WireProgress;
+using telemetry::WireReject;
 using telemetry::WireRequest;
 using telemetry::WireSpec;
 
@@ -27,6 +30,7 @@ struct Server::Connection {
   int fd{-1};
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
+  std::atomic<bool> finished{false};  ///< the reader thread is done with it
   bool hello_done{false};  ///< reader-thread only
   std::string peer_name;   ///< from Hello, for diagnostics
 
@@ -61,13 +65,9 @@ Server::Server(ServerConfig cfg)
 
 Server::~Server() {
   Stop();
-  // Unblock any reader still waiting on its peer, then join.
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    // conn_threads_ joined below; fds are shut down by Run()/Stop() paths.
-  }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  // fds are shut down by the Run()/Stop() paths; join what is left.
+  for (auto& h : handlers_) {
+    if (h.thread.joinable()) h.thread.join();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
@@ -88,9 +88,9 @@ void Server::Stop() {
 }
 
 void Server::Run() {
-  std::vector<std::shared_ptr<Connection>> conns;
   while (!stopping_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    ReapFinishedConnections();
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
       continue;  // transient accept failure (EINTR, peer gone mid-handshake)
@@ -100,24 +100,30 @@ void Server::Run() {
     {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       conn->id = next_conn_id_++;
-      conns.push_back(conn);
-      conn_threads_.emplace_back([this, conn] { HandleConnection(conn); });
+      handlers_.push_back({conn, std::thread([this, conn] { HandleConnection(conn); })});
     }
     UAVRES_COUNT("serve.connections");
   }
   // Drain: admitted work completes and its results reach still-open
   // connections before the daemon exits.
   if (pool_) pool_->Drain();
-  for (const auto& conn : conns) {
-    if (conn->alive.load()) ::shutdown(conn->fd, SHUT_RDWR);
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  for (auto& h : handlers_) {
+    if (h.conn->alive.load()) ::shutdown(h.conn->fd, SHUT_RDWR);
   }
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (auto& t : conn_threads_) {
-      if (t.joinable()) t.join();
-    }
-    conn_threads_.clear();
+  for (auto& h : handlers_) {
+    if (h.thread.joinable()) h.thread.join();
   }
+  handlers_.clear();
+}
+
+void Server::ReapFinishedConnections() {
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  std::erase_if(handlers_, [](Handler& h) {
+    if (!h.conn->finished.load(std::memory_order_acquire)) return false;
+    h.thread.join();
+    return true;
+  });
 }
 
 void Server::SendFrame(const std::shared_ptr<Connection>& conn, SpecMsgType type,
@@ -143,82 +149,79 @@ void Server::HandleConnection(const std::shared_ptr<Connection>& conn) {
     }
     if (reader.corrupt()) {
       SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "oversized or corrupt frame"));
+                Encode(WireReject{0, RejectReason::kMalformed, "oversized or corrupt frame"}));
       break;
     }
   }
   conn->alive.store(false, std::memory_order_release);
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->finished.store(true, std::memory_order_release);
 }
 
 void Server::HandleFrame(const std::shared_ptr<Connection>& conn, const SpecFrame& frame) {
   // The handshake must come first: it pins the schema version before any
   // spec can be (mis)interpreted.
   if (!conn->hello_done) {
-    std::uint32_t version = 0;
-    std::string name;
-    if (frame.type != SpecMsgType::kHello ||
-        !telemetry::DecodeHello(frame.payload, version, name)) {
+    telemetry::WireHello hello;
+    if (frame.type != SpecMsgType::kHello || !telemetry::Decode(frame.payload, hello)) {
       SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "expected Hello first"));
+                Encode(WireReject{0, RejectReason::kMalformed, "expected Hello first"}));
       conn->alive.store(false, std::memory_order_release);
       return;
     }
-    if (version != telemetry::kSpecSchemaVersion) {
+    if (hello.schema_version != telemetry::kSpecSchemaVersion) {
       SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(
-                    0, RejectReason::kVersionMismatch,
-                    "server speaks spec schema v" +
-                        std::to_string(telemetry::kSpecSchemaVersion)));
+                Encode(WireReject{0, RejectReason::kVersionMismatch,
+                                  "server speaks spec schema v" +
+                                      std::to_string(telemetry::kSpecSchemaVersion)}));
       conn->alive.store(false, std::memory_order_release);
       return;
     }
     conn->hello_done = true;
-    conn->peer_name = std::move(name);
+    conn->peer_name = std::move(hello.client_name);
     SendFrame(conn, SpecMsgType::kHelloAck,
-              telemetry::EncodeHelloAck(telemetry::kSpecSchemaVersion));
+              Encode(telemetry::WireHelloAck{telemetry::kSpecSchemaVersion}));
     return;
   }
 
+  // Stats and Shutdown carry no payload: bytes there are a framing error.
+  const bool bare = frame.payload.empty();
   switch (frame.type) {
     case SpecMsgType::kSubmitBatch:
       HandleSubmit(conn, frame.payload);
       return;
     case SpecMsgType::kStats:
+      if (!bare) break;
       SendStats(conn);
       return;
     case SpecMsgType::kShutdown:
+      if (!bare) break;
       if (cfg_.allow_remote_shutdown) {
         UAVRES_COUNT("serve.shutdown-requests");
         Stop();
       } else {
         SendFrame(conn, SpecMsgType::kReject,
-                  telemetry::EncodeReject(0, RejectReason::kBadSpec,
-                                          "remote shutdown disabled"));
+                  Encode(WireReject{0, RejectReason::kBadSpec, "remote shutdown disabled"}));
       }
       return;
     default:
-      SendFrame(conn, SpecMsgType::kReject,
-                telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                        "unexpected message type"));
-      conn->alive.store(false, std::memory_order_release);
-      return;
+      break;
   }
+  SendFrame(conn, SpecMsgType::kReject,
+            Encode(WireReject{0, RejectReason::kMalformed, "unexpected message type"}));
+  conn->alive.store(false, std::memory_order_release);
 }
 
 void Server::HandleSubmit(const std::shared_ptr<Connection>& conn,
                           const std::string& payload) {
-  std::vector<WireRequest> batch;
-  if (!telemetry::DecodeSubmitBatch(payload, batch)) {
+  telemetry::WireBatch batch;
+  if (!telemetry::Decode(payload, batch)) {
     SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(0, RejectReason::kMalformed,
-                                      "undecodable submit batch"));
+              Encode(WireReject{0, RejectReason::kMalformed, "undecodable submit batch"}));
     conn->alive.store(false, std::memory_order_release);
     return;
   }
-  for (const auto& req : batch) SubmitOne(conn, req);
+  for (const auto& req : batch.requests) SubmitOne(conn, req);
 }
 
 namespace {
@@ -254,14 +257,14 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
     rejected_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.rejected.bad-spec");
     SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kBadSpec, why));
+              Encode(WireReject{req.request_id, RejectReason::kBadSpec, why}));
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kShuttingDown,
-                                      "daemon is draining"));
+              Encode(WireReject{req.request_id, RejectReason::kShuttingDown,
+                                "daemon is draining"}));
     return;
   }
 
@@ -316,8 +319,8 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
     rejected_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.rejected.overload");
     SendFrame(conn, SpecMsgType::kReject,
-              telemetry::EncodeReject(req.request_id, RejectReason::kRejectedOverload,
-                                      "admission queue full"));
+              Encode(WireReject{req.request_id, RejectReason::kRejectedOverload,
+                                "admission queue full"}));
     return;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -325,11 +328,11 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
     singleflight_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.dedup.singleflight");
     SendFrame(conn, SpecMsgType::kProgress,
-              telemetry::EncodeProgress(req.request_id, RequestState::kAttached));
+              Encode(WireProgress{req.request_id, RequestState::kAttached}));
   } else {
     UAVRES_COUNT("serve.admitted");
     SendFrame(conn, SpecMsgType::kProgress,
-              telemetry::EncodeProgress(req.request_id, RequestState::kQueued));
+              Encode(WireProgress{req.request_id, RequestState::kQueued}));
   }
 }
 
@@ -402,7 +405,7 @@ void Server::RunFlight(std::uint64_t key) {
     }
     for (const auto& w : now) {
       SendFrame(w.conn, SpecMsgType::kProgress,
-                telemetry::EncodeProgress(w.request_id, RequestState::kRunning));
+                Encode(WireProgress{w.request_id, RequestState::kRunning}));
     }
   }
 
@@ -468,7 +471,7 @@ void Server::RunFlight(std::uint64_t key) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     UAVRES_COUNT("serve.completed");
     SendFrame(waiters[i].conn, SpecMsgType::kResult,
-              telemetry::EncodeResult(waiters[i].request_id, source, result_bytes));
+              Encode(telemetry::WireResult{waiters[i].request_id, source, result_bytes}));
   }
 }
 
@@ -476,7 +479,7 @@ void Server::SendStats(const std::shared_ptr<Connection>& conn) {
   std::ostringstream json;
   telemetry::MetricsRegistry::Global().WriteJson(json);
   SendFrame(conn, SpecMsgType::kStatsReply,
-            telemetry::EncodeStatsReply(stats(), json.str()));
+            Encode(telemetry::WireStatsReply{stats(), json.str()}));
 }
 
 telemetry::ServeStats Server::stats() const {

@@ -91,6 +91,9 @@ class Server {
   struct Flight;
 
   void HandleConnection(const std::shared_ptr<Connection>& conn);
+  /// Joins every finished connection thread and drops its Connection, so a
+  /// long-running daemon holds only its live clients' fds and threads.
+  void ReapFinishedConnections();
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const telemetry::SpecFrame& frame);
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
@@ -119,8 +122,13 @@ class Server {
   std::uint16_t port_{0};
   std::atomic<bool> stopping_{false};
 
+  /// One accepted client and its reader thread.
+  struct Handler {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
   std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<Handler> handlers_;
   std::uint64_t next_conn_id_{1};
 
   /// Single-flight table: cache key -> in-flight run with attached waiters.

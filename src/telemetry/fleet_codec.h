@@ -7,17 +7,17 @@
 // telemetry layer can own the on-disk format while core's ResultStore and
 // the uspace fleet runner both speak it.
 //
-// Frame layout (little-endian, binary_io.h conventions):
-//   magic "UVFL" | u32 kFleetRecordSchemaVersion | body | u32 0x5AFEC0DE
-// Readers return false on any framing, bound or version mismatch; callers
-// treat that as a cache miss and recompute.
+// The field lists below declare the layout once (telemetry/binary_io.h):
+// magic "UVFL", version, body, footer. In the result store any framing,
+// bound or version mismatch is a cache miss and the run is recomputed.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
 
@@ -79,10 +79,33 @@ struct FleetRecord {
   double throughput_missions_per_hour{0.0};
 };
 
-/// Serialize one record (framed, versioned).
-void WriteFleetRecord(std::ostream& os, const FleetRecord& r);
+inline constexpr std::uint32_t kMaxFleetNameLen = 256;
+inline constexpr std::uint32_t kMaxFleetDrones = 1u << 20;
+inline constexpr std::uint32_t kMaxFleetEvents = 1u << 24;
 
-/// Parse one record; false on framing/version/bound mismatch.
-bool ReadFleetRecord(std::istream& is, FleetRecord& r);
+template <class V>
+void Fields(V& v, FleetDroneRecord& d) {
+  v(d.drone_id, Capped{d.name, kMaxFleetNameLen}, d.outcome, d.flight_duration_s,
+    d.launch_time_s);
+}
+
+template <class V>
+void Fields(V& v, FleetConflictRecord& e) {
+  v(e.drone_a, e.drone_b, e.start_time, e.end_time, e.min_separation_m, e.severity);
+}
+
+template <class V>
+void Fields(V& v, FleetRecord& r) {
+  v(Expect{Magic("UVFL")}, Expect{kFleetRecordSchemaVersion}, r.num_drones, r.sim_time_s,
+    Capped{r.drones, kMaxFleetDrones}, Capped{r.events, kMaxFleetEvents}, r.conflicts,
+    r.alerts, r.instants_in_conflict, r.min_separation_m, r.broadphase_horizon_m,
+    r.cascade_size, r.secondary_conflicts, r.separation_samples, r.separation_p5_m,
+    r.separation_p50_m, r.reports_published, r.reports_dropped, r.reports_quarantined,
+    r.missions_completed, r.relaunches, r.throughput_missions_per_hour,
+    Expect{kArtifactFooter});
+}
+
+/// Serialize one record (framed, versioned).
+inline void WriteFleetRecord(std::ostream& os, const FleetRecord& r) { os << Encode(r); }
 
 }  // namespace uavres::telemetry

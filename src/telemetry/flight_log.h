@@ -40,6 +40,7 @@ class FlightLog {
   }
 
   const std::vector<FlightEvent>& Events() const { return events_; }
+  std::vector<FlightEvent>& Events() { return events_; }
   void Clear() { events_.clear(); }
 
   /// Number of events at or above the given severity.

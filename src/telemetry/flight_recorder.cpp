@@ -1,57 +1,42 @@
 #include "telemetry/flight_recorder.h"
 
-#include <cstring>
 #include <fstream>
 
 #include "telemetry/binary_io.h"
-#include "telemetry/trajectory_codec.h"
 
 namespace uavres::telemetry {
 namespace {
 
-constexpr char kMagic[4] = {'U', 'V', 'R', 'L'};
 constexpr std::uint32_t kMaxEvents = 1'000'000;
 constexpr std::uint32_t kMaxMessageLen = 65'536;
 
 }  // namespace
 
-bool WriteFlightRecord(std::ostream& os, const FlightRecord& record) {
-  os.write(kMagic, 4);
-  PutU32(os, kFlightRecordVersion);
-  PutU32(os, static_cast<std::uint32_t>(record.trajectory.Size()));
-  PutU32(os, static_cast<std::uint32_t>(record.log.Events().size()));
-
-  WriteTrajectorySamples(os, record.trajectory);
-
-  for (const auto& e : record.log.Events()) {
-    PutF64(os, e.t);
-    PutU8(os, static_cast<std::uint8_t>(e.level));
-    PutString(os, e.message);
-  }
-  return static_cast<bool>(os);
+template <class V>
+void Fields(V& v, FlightEvent& e) {
+  v(e.t, InRange{e.level, LogLevel::kInfo, LogLevel::kCritical},
+    Capped{e.message, kMaxMessageLen});
 }
 
-std::optional<FlightRecord> ReadFlightRecord(std::istream& is) {
-  char magic[4];
-  if (!is.read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) return std::nullopt;
-  std::uint32_t version = 0, n_samples = 0, n_events = 0;
-  if (!GetU32(is, version) || version != kFlightRecordVersion) return std::nullopt;
-  if (!GetU32(is, n_samples) || n_samples > kMaxTrajectorySamples) return std::nullopt;
-  if (!GetU32(is, n_events) || n_events > kMaxEvents) return std::nullopt;
+/// Both counts lead the record, ahead of the samples and events they size.
+template <class V>
+void Fields(V& v, FlightRecord& r) {
+  auto& samples = r.trajectory.Samples();
+  auto& events = r.log.Events();
+  auto n_samples = static_cast<std::uint32_t>(samples.size());
+  auto n_events = static_cast<std::uint32_t>(events.size());
+  v(Expect{Magic("UVRL")}, Expect{kFlightRecordVersion},
+    InRange{n_samples, 0u, kMaxTrajectorySamples}, InRange{n_events, 0u, kMaxEvents},
+    Elements{samples, n_samples}, Elements{events, n_events});
+}
 
+bool WriteFlightRecord(std::ostream& os, const FlightRecord& record) {
+  return static_cast<bool>(os << Encode(record));
+}
+
+std::optional<FlightRecord> ReadFlightRecord(std::string_view bytes) {
   FlightRecord record;
-  if (!ReadTrajectorySamples(is, n_samples, record.trajectory)) return std::nullopt;
-
-  for (std::uint32_t i = 0; i < n_events; ++i) {
-    double t = 0.0;
-    std::uint8_t level = 0;
-    std::string message;
-    if (!GetF64(is, t) || !GetU8(is, level) || !GetString(is, message, kMaxMessageLen)) {
-      return std::nullopt;
-    }
-    if (level > static_cast<std::uint8_t>(LogLevel::kCritical)) return std::nullopt;
-    record.log.Add(t, static_cast<LogLevel>(level), std::move(message));
-  }
+  if (!Decode(bytes, record)) return std::nullopt;
   return record;
 }
 
@@ -61,9 +46,9 @@ bool SaveFlightRecord(const std::string& path, const FlightRecord& record) {
 }
 
 std::optional<FlightRecord> LoadFlightRecord(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  return ReadFlightRecord(is);
+  const auto bytes = ReadFileBytes(path);
+  if (!bytes) return std::nullopt;
+  return ReadFlightRecord(*bytes);
 }
 
 }  // namespace uavres::telemetry

@@ -6,17 +6,16 @@
 // CLI's `export --binary` / `replay` commands and offline analyses build on
 // it.
 //
-// Format (little-endian, doubles as IEEE-754):
-//   header : magic "UVRL", u32 version, u32 sample count, u32 event count
-//   samples: per TrajectorySample, 20 doubles + u8 fault_active
-//   events : per FlightEvent, double t, u8 level, u32 len, bytes message
+// Layout: magic "UVRL", version, sample and event counts, then the samples
+// and the events — declared once, as field lists in flight_recorder.cpp on
+// the telemetry/binary_io.h codec.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "telemetry/flight_log.h"
 #include "telemetry/trajectory.h"
@@ -34,8 +33,9 @@ struct FlightRecord {
 /// Serialize a flight record. Returns false on stream failure.
 bool WriteFlightRecord(std::ostream& os, const FlightRecord& record);
 
-/// Deserialize; returns std::nullopt on bad magic/version/framing.
-std::optional<FlightRecord> ReadFlightRecord(std::istream& is);
+/// Deserialize one whole record; std::nullopt on bad magic/version/framing
+/// or trailing bytes.
+std::optional<FlightRecord> ReadFlightRecord(std::string_view bytes);
 
 /// Convenience file wrappers.
 bool SaveFlightRecord(const std::string& path, const FlightRecord& record);

@@ -1,93 +1,37 @@
 #include "telemetry/snapshot_codec.h"
 
-#include <cstring>
 #include <fstream>
 
 #include "telemetry/binary_io.h"
 
-namespace uavres::telemetry {
+namespace uavres::sim {
 
-namespace {
-
-constexpr char kMagic[4] = {'U', 'V', 'S', 'N'};
-constexpr std::uint32_t kFooter = 0x5AFE5A9AU;
-
-}  // namespace
-
-void WriteSnapshot(std::ostream& os, const sim::Snapshot& snap) {
-  os.write(kMagic, 4);
-  PutU32(os, snap.version);
-  PutU64(os, snap.seed);
-  PutU64(os, static_cast<std::uint64_t>(snap.step_count));
-  PutF64(os, snap.time_s);
-  PutI32(os, snap.mission_index);
-  PutString(os, snap.mission_name);
-  PutU64(os, snap.config_digest);
-  PutU64(os, snap.seed_base);
-  PutU8(os, snap.has_fault ? 1 : 0);
-  PutI32(os, snap.fault_type);
-  PutI32(os, snap.fault_target);
-  PutF64(os, snap.fault_start_s);
-  PutF64(os, snap.fault_duration_s);
-  PutF64(os, snap.fault_magnitude);
-  PutU32(os, static_cast<std::uint32_t>(snap.sections.size()));
-  for (const sim::SnapshotSection& s : snap.sections) {
-    PutU32(os, s.id);
-    PutU64(os, static_cast<std::uint64_t>(s.bytes.size()));
-    os.write(reinterpret_cast<const char*>(s.bytes.data()),
-             static_cast<std::streamsize>(s.bytes.size()));
-  }
-  PutU32(os, kFooter);
+template <class V>
+void Fields(V& v, SnapshotSection& s) {
+  v(s.id, telemetry::Capped{s.bytes, telemetry::kMaxSnapshotSectionBytes});
 }
 
-std::optional<sim::Snapshot> ReadSnapshot(std::istream& is) {
-  char magic[4] = {};
-  if (!is.read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) return std::nullopt;
+/// A build refuses version 0 and versions newer than its own: their
+/// sections may not be interpretable here.
+template <class V>
+void Fields(V& v, Snapshot& s) {
+  using namespace telemetry;
+  v(Expect{Magic("UVSN")}, InRange{s.version, 1u, kSnapshotVersion}, s.seed, s.step_count,
+    s.time_s, s.mission_index, Capped{s.mission_name, kMaxSnapshotNameLen}, s.config_digest,
+    s.seed_base, s.has_fault, s.fault_type, s.fault_target, s.fault_start_s,
+    s.fault_duration_s, s.fault_magnitude, Capped{s.sections, kMaxSnapshotSections},
+    Expect{std::uint32_t{0x5AFE5A9A}});
+}
 
+}  // namespace uavres::sim
+
+namespace uavres::telemetry {
+
+void WriteSnapshot(std::ostream& os, const sim::Snapshot& snap) { os << Encode(snap); }
+
+std::optional<sim::Snapshot> ReadSnapshot(std::string_view bytes) {
   sim::Snapshot snap;
-  if (!GetU32(is, snap.version)) return std::nullopt;
-  // A file written by a newer build may carry sections this build cannot
-  // interpret; refuse it cleanly instead of mis-restoring.
-  if (snap.version == 0 || snap.version > sim::kSnapshotVersion) return std::nullopt;
-
-  std::uint64_t step_count = 0;
-  if (!GetU64(is, snap.seed)) return std::nullopt;
-  if (!GetU64(is, step_count)) return std::nullopt;
-  snap.step_count = static_cast<std::int64_t>(step_count);
-  if (!GetF64(is, snap.time_s)) return std::nullopt;
-  if (!GetI32(is, snap.mission_index)) return std::nullopt;
-  if (!GetString(is, snap.mission_name, kMaxSnapshotNameLen)) return std::nullopt;
-  if (!GetU64(is, snap.config_digest)) return std::nullopt;
-  if (!GetU64(is, snap.seed_base)) return std::nullopt;
-  std::uint8_t has_fault = 0;
-  if (!GetU8(is, has_fault)) return std::nullopt;
-  snap.has_fault = has_fault != 0;
-  if (!GetI32(is, snap.fault_type)) return std::nullopt;
-  if (!GetI32(is, snap.fault_target)) return std::nullopt;
-  if (!GetF64(is, snap.fault_start_s)) return std::nullopt;
-  if (!GetF64(is, snap.fault_duration_s)) return std::nullopt;
-  if (!GetF64(is, snap.fault_magnitude)) return std::nullopt;
-
-  std::uint32_t section_count = 0;
-  if (!GetU32(is, section_count) || section_count > kMaxSnapshotSections) {
-    return std::nullopt;
-  }
-  snap.sections.reserve(section_count);
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    sim::SnapshotSection s;
-    std::uint64_t len = 0;
-    if (!GetU32(is, s.id)) return std::nullopt;
-    if (!GetU64(is, len) || len > kMaxSnapshotSectionBytes) return std::nullopt;
-    s.bytes.resize(static_cast<std::size_t>(len));
-    if (len > 0 && !is.read(reinterpret_cast<char*>(s.bytes.data()),
-                            static_cast<std::streamsize>(len))) {
-      return std::nullopt;
-    }
-    snap.sections.push_back(std::move(s));
-  }
-
-  std::uint32_t footer = 0;
-  if (!GetU32(is, footer) || footer != kFooter) return std::nullopt;
+  if (!Decode(bytes, snap)) return std::nullopt;
   return snap;
 }
 
@@ -100,9 +44,9 @@ bool SaveSnapshotFile(const std::string& path, const sim::Snapshot& snap) {
 }
 
 std::optional<sim::Snapshot> LoadSnapshotFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  return ReadSnapshot(is);
+  const auto bytes = ReadFileBytes(path);
+  if (!bytes) return std::nullopt;
+  return ReadSnapshot(*bytes);
 }
 
 }  // namespace uavres::telemetry

@@ -1,21 +1,20 @@
 // Binary (de)serialization of sim::Snapshot — the `.uvsnap` on-disk format.
 //
-// Layout (little-endian, see telemetry/binary_io.h):
-//   magic "UVSN" | u32 version | u64 seed | u64 step_count | f64 time_s
-//   | i32 mission_index | string mission_name | u64 config_digest
-//   | u32 section_count | { u32 id | u64 len | bytes } * | u32 footer | EOF
+// Layout: magic "UVSN", version, the donor's identity and fault, the
+// sections (u32 id, u64 length, bytes), footer — declared once, as field
+// lists in snapshot_codec.cpp on the telemetry/binary_io.h codec.
 //
 // The section payloads are the opaque byte blobs sim::Snapshot carries
 // (math/state_io.h serialization of each subsystem); the codec frames them
 // but never interprets them. Readers reject bad magic, versions newer than
-// this build, implausible counts/lengths and any truncation — a corrupt or
-// hostile file yields nullopt, never partial data or UB.
+// this build, implausible counts/lengths, any truncation and trailing bytes —
+// a corrupt or hostile file yields nullopt, never partial data or UB.
 #pragma once
 
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "sim/snapshot.h"
 
@@ -30,9 +29,10 @@ inline constexpr std::uint32_t kMaxSnapshotNameLen = 4096;
 
 void WriteSnapshot(std::ostream& os, const sim::Snapshot& snap);
 
-/// Reads one framed snapshot; nullopt on any framing failure (bad magic,
-/// future version, bad counts, truncation, missing footer).
-std::optional<sim::Snapshot> ReadSnapshot(std::istream& is);
+/// Reads one whole framed snapshot; nullopt on any framing failure (bad
+/// magic, future version, bad counts, truncation, missing footer, trailing
+/// bytes).
+std::optional<sim::Snapshot> ReadSnapshot(std::string_view bytes);
 
 /// File convenience wrappers (binary mode, whole-file framing).
 bool SaveSnapshotFile(const std::string& path, const sim::Snapshot& snap);

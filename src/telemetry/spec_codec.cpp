@@ -1,54 +1,21 @@
 #include "telemetry/spec_codec.h"
 
-#include <cstring>
-#include <sstream>
-
-#include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
+
 namespace {
 
-/// All payloads are built/parsed through string streams over the shared
-/// little-endian primitives; a payload is valid only if every field reads
-/// and the stream is then exactly exhausted.
-bool Exhausted(std::istream& is) {
-  return is.peek() == std::istream::traits_type::eof();
-}
-
-void PutSpec(std::ostream& os, const WireSpec& s) {
-  PutI32(os, s.mission_index);
-  PutU64(os, s.seed_base);
-  PutU8(os, s.recovery ? 1 : 0);
-  PutU8(os, s.has_fault ? 1 : 0);
-  PutU8(os, s.fault_type);
-  PutU8(os, s.fault_target);
-  PutF64(os, s.start_time_s);
-  PutF64(os, s.duration_s);
-  PutF64(os, s.magnitude);
-}
-
-bool GetSpec(std::istream& is, WireSpec& s) {
-  std::uint8_t recovery = 0, has_fault = 0;
-  if (!GetI32(is, s.mission_index) || !GetU64(is, s.seed_base) ||
-      !GetU8(is, recovery) || !GetU8(is, has_fault) || !GetU8(is, s.fault_type) ||
-      !GetU8(is, s.fault_target) || !GetF64(is, s.start_time_s) ||
-      !GetF64(is, s.duration_s) || !GetF64(is, s.magnitude)) {
-    return false;
-  }
-  if (recovery > 1 || has_fault > 1) return false;
-  s.recovery = (recovery != 0);
-  s.has_fault = (has_fault != 0);
-  return true;
+/// Frame header: payload length, then message type.
+auto FrameHeader(auto& len, auto& type) {
+  return [&](auto& v) { v(len, type); };
 }
 
 }  // namespace
 
 std::string EncodeFrame(SpecMsgType type, const std::string& payload) {
-  std::ostringstream os;
-  PutU32(os, static_cast<std::uint32_t>(payload.size()));
-  PutU8(os, static_cast<std::uint8_t>(type));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return os.str();
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const auto raw_type = static_cast<std::uint8_t>(type);
+  return Encode(FrameHeader(len, raw_type)) + payload;
 }
 
 bool FrameReader::Feed(const char* data, std::size_t n) {
@@ -64,165 +31,22 @@ std::optional<SpecFrame> FrameReader::Next() {
     buf_.erase(0, consumed_);
     consumed_ = 0;
   }
-  const std::size_t avail = buf_.size() - consumed_;
-  if (avail < 5) return std::nullopt;
-  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data() + consumed_);
+  constexpr std::size_t kHeaderBytes = 5;
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  std::uint8_t type = 0;
+  if (!Decode(std::string_view(buf_).substr(consumed_, kHeaderBytes), FrameHeader(len, type))) {
+    return std::nullopt;
+  }
   if (len > kMaxFramePayloadBytes) {
     corrupt_ = true;
     return std::nullopt;
   }
-  if (avail < 5u + len) return std::nullopt;
+  if (buf_.size() - consumed_ < kHeaderBytes + len) return std::nullopt;
   SpecFrame frame;
-  frame.type = static_cast<SpecMsgType>(p[4]);
-  frame.payload.assign(buf_.data() + consumed_ + 5, len);
-  consumed_ += 5u + len;
+  frame.type = static_cast<SpecMsgType>(type);
+  frame.payload.assign(buf_, consumed_ + kHeaderBytes, len);
+  consumed_ += kHeaderBytes + len;
   return frame;
-}
-
-std::string EncodeHello(std::uint32_t schema_version, const std::string& client_name) {
-  std::ostringstream os;
-  PutU32(os, kSpecWireMagic);
-  PutU32(os, schema_version);
-  PutString(os, client_name);
-  return os.str();
-}
-
-bool DecodeHello(const std::string& payload, std::uint32_t& schema_version,
-                 std::string& client_name) {
-  std::istringstream is(payload);
-  std::uint32_t magic = 0;
-  return GetU32(is, magic) && magic == kSpecWireMagic && GetU32(is, schema_version) &&
-         GetString(is, client_name, kMaxWireStringLen) && Exhausted(is);
-}
-
-std::string EncodeHelloAck(std::uint32_t schema_version) {
-  std::ostringstream os;
-  PutU32(os, kSpecWireMagic);
-  PutU32(os, schema_version);
-  return os.str();
-}
-
-bool DecodeHelloAck(const std::string& payload, std::uint32_t& schema_version) {
-  std::istringstream is(payload);
-  std::uint32_t magic = 0;
-  return GetU32(is, magic) && magic == kSpecWireMagic && GetU32(is, schema_version) &&
-         Exhausted(is);
-}
-
-std::string EncodeSubmitBatch(const std::vector<WireRequest>& batch) {
-  std::ostringstream os;
-  PutU32(os, static_cast<std::uint32_t>(batch.size()));
-  for (const auto& r : batch) {
-    PutU64(os, r.request_id);
-    PutSpec(os, r.spec);
-  }
-  return os.str();
-}
-
-bool DecodeSubmitBatch(const std::string& payload, std::vector<WireRequest>& batch) {
-  std::istringstream is(payload);
-  std::uint32_t count = 0;
-  if (!GetU32(is, count) || count > kMaxSpecsPerBatch) return false;
-  batch.clear();
-  batch.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WireRequest r;
-    if (!GetU64(is, r.request_id) || !GetSpec(is, r.spec)) return false;
-    batch.push_back(r);
-  }
-  return Exhausted(is);
-}
-
-std::string EncodeProgress(std::uint64_t request_id, RequestState state) {
-  std::ostringstream os;
-  PutU64(os, request_id);
-  PutU8(os, static_cast<std::uint8_t>(state));
-  return os.str();
-}
-
-bool DecodeProgress(const std::string& payload, std::uint64_t& request_id,
-                    RequestState& state) {
-  std::istringstream is(payload);
-  std::uint8_t raw = 0;
-  if (!GetU64(is, request_id) || !GetU8(is, raw) || !Exhausted(is)) return false;
-  if (raw < static_cast<std::uint8_t>(RequestState::kQueued) ||
-      raw > static_cast<std::uint8_t>(RequestState::kAttached)) {
-    return false;
-  }
-  state = static_cast<RequestState>(raw);
-  return true;
-}
-
-std::string EncodeResult(std::uint64_t request_id, ResultSource source,
-                         const std::string& result_bytes) {
-  std::ostringstream os;
-  PutU64(os, request_id);
-  PutU8(os, static_cast<std::uint8_t>(source));
-  PutString(os, result_bytes);
-  return os.str();
-}
-
-bool DecodeResult(const std::string& payload, std::uint64_t& request_id,
-                  ResultSource& source, std::string& result_bytes) {
-  std::istringstream is(payload);
-  std::uint8_t raw = 0;
-  if (!GetU64(is, request_id) || !GetU8(is, raw) ||
-      !GetString(is, result_bytes, kMaxFramePayloadBytes) || !Exhausted(is)) {
-    return false;
-  }
-  if (raw < static_cast<std::uint8_t>(ResultSource::kComputed) ||
-      raw > static_cast<std::uint8_t>(ResultSource::kSingleFlight)) {
-    return false;
-  }
-  source = static_cast<ResultSource>(raw);
-  return true;
-}
-
-std::string EncodeReject(std::uint64_t request_id, RejectReason reason,
-                         const std::string& detail) {
-  std::ostringstream os;
-  PutU64(os, request_id);
-  PutU8(os, static_cast<std::uint8_t>(reason));
-  PutString(os, detail);
-  return os.str();
-}
-
-bool DecodeReject(const std::string& payload, std::uint64_t& request_id,
-                  RejectReason& reason, std::string& detail) {
-  std::istringstream is(payload);
-  std::uint8_t raw = 0;
-  if (!GetU64(is, request_id) || !GetU8(is, raw) ||
-      !GetString(is, detail, kMaxWireStringLen) || !Exhausted(is)) {
-    return false;
-  }
-  if (raw > static_cast<std::uint8_t>(RejectReason::kShuttingDown)) return false;
-  reason = static_cast<RejectReason>(raw);
-  return true;
-}
-
-std::string EncodeStatsReply(const ServeStats& stats, const std::string& metrics_json) {
-  std::ostringstream os;
-  PutU64(os, stats.accepted);
-  PutU64(os, stats.rejected);
-  PutU64(os, stats.completed);
-  PutU64(os, stats.computed);
-  PutU64(os, stats.store_hits);
-  PutU64(os, stats.singleflight);
-  PutU64(os, stats.gold_computed);
-  PutString(os, metrics_json);
-  return os.str();
-}
-
-bool DecodeStatsReply(const std::string& payload, ServeStats& stats,
-                      std::string& metrics_json) {
-  std::istringstream is(payload);
-  return GetU64(is, stats.accepted) && GetU64(is, stats.rejected) &&
-         GetU64(is, stats.completed) && GetU64(is, stats.computed) &&
-         GetU64(is, stats.store_hits) && GetU64(is, stats.singleflight) &&
-         GetU64(is, stats.gold_computed) &&
-         GetString(is, metrics_json, kMaxFramePayloadBytes) && Exhausted(is);
 }
 
 const char* ToString(RejectReason r) {

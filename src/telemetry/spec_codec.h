@@ -5,9 +5,9 @@
 //
 //   u32 payload_len | u8 msg_type | payload (payload_len bytes)
 //
-// with all integers little-endian (telemetry/binary_io.h). Payloads are
-// themselves composed of the same primitives; the codec never interprets
-// simulation types — it speaks only the flat wire structs defined here
+// Each payload is a Wire* struct below with one field list on the
+// telemetry/binary_io.h codec; the codec never interprets simulation
+// types — it speaks only the flat wire structs defined here
 // (WireSpec mirrors uav::ExperimentSpec's identity fields; the serve layer
 // converts). MissionResult payloads reuse the result store's serialization
 // verbatim (core::WriteMissionResult), so a result byte-compared over the
@@ -25,15 +25,16 @@
 // express. Client and server must agree exactly: there is no negotiation,
 // because a version-skewed spec would silently key a different experiment.
 //
-// Robustness: every decoder returns false/nullopt on framing failure (bad
-// magic, short payload, trailing bytes, implausible counts) — hostile or
-// truncated input never yields partial data.
+// Robustness: every decoder returns false on framing failure (bad magic,
+// short payload, trailing bytes, implausible counts, a bool byte above 1).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
 
@@ -126,8 +127,8 @@ struct ServeStats {
   friend bool operator==(const ServeStats&, const ServeStats&) = default;
 };
 
-/// One decoded frame: type + raw payload bytes (decode with the matching
-/// Decode* function below).
+/// One decoded frame: type + raw payload bytes (decode them into the
+/// matching Wire* message below).
 struct SpecFrame {
   SpecMsgType type{SpecMsgType::kHello};
   std::string payload;
@@ -157,39 +158,101 @@ class FrameReader {
   bool corrupt_{false};
 };
 
-// --- Payload encoders / decoders ------------------------------------------
-// Every Decode* consumes the WHOLE payload: trailing bytes are a framing
-// error (the strict mirror of the result store's EOF check).
+// --- Payloads: one struct and one field list per message ------------------
+// Encode(message) gives a payload; Decode(payload, message) reads one back
+// and fails on any framing error, trailing bytes included
+// (telemetry/binary_io.h).
 
-std::string EncodeHello(std::uint32_t schema_version, const std::string& client_name);
-bool DecodeHello(const std::string& payload, std::uint32_t& schema_version,
-                 std::string& client_name);
+struct WireHello {  ///< kHello
+  std::uint32_t schema_version{0};
+  std::string client_name;
+};
 
-std::string EncodeHelloAck(std::uint32_t schema_version);
-bool DecodeHelloAck(const std::string& payload, std::uint32_t& schema_version);
+struct WireHelloAck {  ///< kHelloAck
+  std::uint32_t schema_version{0};
+};
 
-std::string EncodeSubmitBatch(const std::vector<WireRequest>& batch);
-bool DecodeSubmitBatch(const std::string& payload, std::vector<WireRequest>& batch);
+struct WireBatch {  ///< kSubmitBatch
+  std::vector<WireRequest> requests;
+};
 
-std::string EncodeProgress(std::uint64_t request_id, RequestState state);
-bool DecodeProgress(const std::string& payload, std::uint64_t& request_id,
-                    RequestState& state);
+struct WireProgress {  ///< kProgress
+  std::uint64_t request_id{0};
+  RequestState state{RequestState::kQueued};
+};
 
-/// `result_bytes` is an opaque serialized MissionResult (the serve layer
-/// produces it with core::WriteMissionResult); the codec frames it only.
-std::string EncodeResult(std::uint64_t request_id, ResultSource source,
-                         const std::string& result_bytes);
-bool DecodeResult(const std::string& payload, std::uint64_t& request_id,
-                  ResultSource& source, std::string& result_bytes);
+/// kResult. `result_bytes` is an opaque serialized MissionResult (the serve
+/// layer produces it with core::WriteMissionResult); the codec frames it only.
+struct WireResult {
+  std::uint64_t request_id{0};
+  ResultSource source{ResultSource::kComputed};
+  std::string result_bytes;
+};
 
-std::string EncodeReject(std::uint64_t request_id, RejectReason reason,
-                         const std::string& detail);
-bool DecodeReject(const std::string& payload, std::uint64_t& request_id,
-                  RejectReason& reason, std::string& detail);
+struct WireReject {  ///< kReject
+  std::uint64_t request_id{0};
+  RejectReason reason{RejectReason::kNone};
+  std::string detail;
+};
 
-std::string EncodeStatsReply(const ServeStats& stats, const std::string& metrics_json);
-bool DecodeStatsReply(const std::string& payload, ServeStats& stats,
-                      std::string& metrics_json);
+struct WireStatsReply {  ///< kStatsReply
+  ServeStats stats;
+  std::string metrics_json;
+};
+
+template <class V>
+void Fields(V& v, WireSpec& s) {
+  v(s.mission_index, s.seed_base, s.recovery, s.has_fault, s.fault_type, s.fault_target,
+    s.start_time_s, s.duration_s, s.magnitude);
+}
+
+template <class V>
+void Fields(V& v, WireRequest& r) {
+  v(r.request_id, r.spec);
+}
+
+template <class V>
+void Fields(V& v, ServeStats& s) {
+  v(s.accepted, s.rejected, s.completed, s.computed, s.store_hits, s.singleflight,
+    s.gold_computed);
+}
+
+template <class V>
+void Fields(V& v, WireHello& m) {
+  v(Expect{kSpecWireMagic}, m.schema_version, Capped{m.client_name, kMaxWireStringLen});
+}
+
+template <class V>
+void Fields(V& v, WireHelloAck& m) {
+  v(Expect{kSpecWireMagic}, m.schema_version);
+}
+
+template <class V>
+void Fields(V& v, WireBatch& m) {
+  v(Capped{m.requests, kMaxSpecsPerBatch});
+}
+
+template <class V>
+void Fields(V& v, WireProgress& m) {
+  v(m.request_id, InRange{m.state, RequestState::kQueued, RequestState::kAttached});
+}
+
+template <class V>
+void Fields(V& v, WireResult& m) {
+  v(m.request_id, InRange{m.source, ResultSource::kComputed, ResultSource::kSingleFlight},
+    Capped{m.result_bytes, kMaxFramePayloadBytes});
+}
+
+template <class V>
+void Fields(V& v, WireReject& m) {
+  v(m.request_id, InRange{m.reason, RejectReason::kNone, RejectReason::kShuttingDown},
+    Capped{m.detail, kMaxWireStringLen});
+}
+
+template <class V>
+void Fields(V& v, WireStatsReply& m) {
+  v(m.stats, Capped{m.metrics_json, kMaxFramePayloadBytes});
+}
 
 const char* ToString(RejectReason r);
 const char* ToString(ResultSource s);

@@ -5,11 +5,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "math/quat.h"
 #include "math/vec3.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
 
@@ -26,6 +28,17 @@ struct TrajectorySample {
   bool fault_active{false};      ///< true while the injector is corrupting data
 };
 
+/// Codec field list (telemetry/binary_io.h): 20 doubles, then the fault byte.
+template <class V>
+void Fields(V& v, TrajectorySample& s) {
+  v(s.t, s.pos_true, s.pos_est, s.vel_true, s.vel_est, s.att_true, s.att_est, s.airspeed_est,
+    s.fault_active);
+}
+
+/// Largest sample count a reader accepts: a flight at 5 Hz for an hour is
+/// ~18k samples; anything beyond this is a corrupt or hostile file.
+inline constexpr std::uint32_t kMaxTrajectorySamples = 50'000'000;
+
 /// Append-only trajectory with helpers for time lookup and path geometry.
 class Trajectory {
  public:
@@ -37,6 +50,7 @@ class Trajectory {
   std::size_t Size() const { return samples_.size(); }
   const TrajectorySample& operator[](std::size_t i) const { return samples_[i]; }
   const std::vector<TrajectorySample>& Samples() const { return samples_; }
+  std::vector<TrajectorySample>& Samples() { return samples_; }
 
   /// Latest sample at or before time t, if any.
   std::optional<TrajectorySample> AtTime(double t) const;
@@ -61,6 +75,13 @@ class Trajectory {
  private:
   std::vector<TrajectorySample> samples_;
 };
+
+/// Codec field list (telemetry/binary_io.h): u32 sample count, then the
+/// samples — the trajectory of a .uvrs store entry.
+template <class V>
+void Fields(V& v, Trajectory& t) {
+  v(Capped{t.Samples(), kMaxTrajectorySamples});
+}
 
 /// Shortest distance from point p to segment [a, b].
 double DistancePointToSegment(const math::Vec3& p, const math::Vec3& a, const math::Vec3& b);

@@ -213,7 +213,7 @@ std::vector<FleetCampaign::Result> FleetCampaign::Run(
           }
         }
         results[i].record = RunFleetExperiment(specs[i], inner);
-        if (store_.enabled()) store_.StoreFleet(key, results[i].record);
+        if (store_.enabled()) store_.Store(key, results[i].record);
       },
       opts);
   return results;

@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "core/scenario.h"
-#include "telemetry/trajectory_codec.h"
+#include "telemetry/trajectory.h"
 
 namespace uavres::core {
 namespace {
@@ -105,10 +105,8 @@ TEST(CacheKey, StableAndSensitive) {
 
 TEST(ResultStoreSerialization, MissionResultRoundTrip) {
   const MissionResult original = SampleResult();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  WriteMissionResult(ss, original);
   MissionResult decoded;
-  ASSERT_TRUE(ReadMissionResult(ss, decoded));
+  ASSERT_TRUE(ReadMissionResult(Serialize(original), decoded));
   ExpectResultsEqual(original, decoded);
   EXPECT_EQ(decoded.mission_name, original.mission_name);
   EXPECT_EQ(decoded.outcome, original.outcome);
@@ -118,10 +116,9 @@ TEST(ResultStoreSerialization, MissionResultRoundTrip) {
 
 TEST(ResultStoreSerialization, TrajectoryRoundTrip) {
   const auto original = SampleTrajectory();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  telemetry::WriteTrajectory(ss, original);
-  const auto decoded = telemetry::ReadTrajectory(ss);
-  ASSERT_TRUE(decoded.has_value());
+  telemetry::Trajectory round_trip;
+  ASSERT_TRUE(telemetry::Decode(telemetry::Encode(original), round_trip));
+  const telemetry::Trajectory* decoded = &round_trip;
   ASSERT_EQ(decoded->Size(), original.Size());
   for (std::size_t i = 0; i < original.Size(); ++i) {
     EXPECT_EQ(decoded->Samples()[i].t, original.Samples()[i].t);
@@ -133,13 +130,11 @@ TEST(ResultStoreSerialization, TrajectoryRoundTrip) {
 
 TEST(ResultStoreSerialization, TruncatedTrajectoryFails) {
   const auto original = SampleTrajectory();
-  std::ostringstream os(std::ios::binary);
-  telemetry::WriteTrajectory(os, original);
-  const std::string bytes = os.str();
+  const std::string bytes = telemetry::Encode(original);
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, bytes.size() / 2,
                                 bytes.size() - 1}) {
-    std::istringstream is(bytes.substr(0, cut), std::ios::binary);
-    EXPECT_FALSE(telemetry::ReadTrajectory(is).has_value()) << "cut=" << cut;
+    telemetry::Trajectory decoded;
+    EXPECT_FALSE(telemetry::Decode(bytes.substr(0, cut), decoded)) << "cut=" << cut;
   }
 }
 

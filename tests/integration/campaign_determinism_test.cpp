@@ -97,7 +97,8 @@ TEST(CampaignDeterminism, ByteIdenticalResultsAndStoreKeysAcrossThreadCounts) {
     cfg.num_threads = threads;
     // A fresh cache dir per thread count: every run is computed (nothing is
     // loaded), and the file names ARE the result-store keys.
-    const fs::path dir = base / ("t" + std::to_string(threads));
+    fs::path dir = base / "t";
+    dir += std::to_string(threads);
     cfg.cache_dir = dir.string();
 
     const auto results = Campaign(cfg).Run();

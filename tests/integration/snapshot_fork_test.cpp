@@ -23,7 +23,7 @@
 #include "core/fault_model.h"
 #include "core/result_store.h"
 #include "core/scenario.h"
-#include "telemetry/trajectory_codec.h"
+#include "telemetry/trajectory.h"
 #include "uav/simulation_runner.h"
 
 namespace uavres {
@@ -34,12 +34,11 @@ constexpr std::uint64_t kSeedBase = 2024;
 constexpr double kDurationS = 5.0;
 
 /// Canonical byte form of one run: the result-store record followed by the
-/// trajectory codec stream. Byte equality here is the PR's identity oracle.
+/// encoded trajectory. Byte equality here is the PR's identity oracle.
 std::string SerializeOutput(const uav::RunOutput& out) {
   std::ostringstream os(std::ios::binary);
   core::WriteMissionResult(os, out.result);
-  telemetry::WriteTrajectory(os, out.trajectory);
-  return os.str();
+  return os.str() + telemetry::Encode(out.trajectory);
 }
 
 uav::ExperimentSpec MakeSpec(core::FaultType type, core::FaultTarget target,

@@ -136,7 +136,7 @@ TEST(SnapshotRearm, TwoWindowRearmSurvivesSnapshotBoundaryAndReplay) {
   // Through the codec: the clone restores from .uvsnap bytes, not memory.
   std::stringstream uvsnap(std::ios::binary | std::ios::in | std::ios::out);
   telemetry::WriteSnapshot(uvsnap, snap);
-  const auto loaded = telemetry::ReadSnapshot(uvsnap);
+  const auto loaded = telemetry::ReadSnapshot(uvsnap.str());
   ASSERT_TRUE(loaded.has_value());
 
   std::ostringstream b_tail(std::ios::binary);

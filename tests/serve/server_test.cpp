@@ -6,12 +6,15 @@
 //     never deadlocks the accepted work,
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
-//   * byte-identity — a served result equals the offline library run.
+//   * byte-identity — a served result equals the offline library run,
+//   * connection reaping — clients that come and go leave no fds behind.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -202,7 +205,7 @@ TEST(ServeServer, SchemaVersionMismatchIsRejectedAtHandshake) {
   ASSERT_GE(fd, 0) << err;
   const std::string hello = telemetry::EncodeFrame(
       telemetry::SpecMsgType::kHello,
-      telemetry::EncodeHello(telemetry::kSpecSchemaVersion + 1, "time-traveler"));
+      telemetry::Encode(telemetry::WireHello{telemetry::kSpecSchemaVersion + 1, "time-traveler"}));
   ASSERT_TRUE(net::SendAll(fd, hello.data(), hello.size()));
 
   telemetry::FrameReader reader;
@@ -215,11 +218,9 @@ TEST(ServeServer, SchemaVersionMismatchIsRejectedAtHandshake) {
     frame = reader.Next();
   }
   ASSERT_EQ(frame->type, telemetry::SpecMsgType::kReject);
-  std::uint64_t id = 0;
-  RejectReason reason = RejectReason::kNone;
-  std::string detail;
-  ASSERT_TRUE(telemetry::DecodeReject(frame->payload, id, reason, detail));
-  EXPECT_EQ(reason, RejectReason::kVersionMismatch);
+  telemetry::WireReject reject;
+  ASSERT_TRUE(telemetry::Decode(frame->payload, reject));
+  EXPECT_EQ(reject.reason, RejectReason::kVersionMismatch);
   // The server then drops the connection: EOF, not a hung socket.
   EXPECT_EQ(net::RecvSome(fd, buf, sizeof buf), 0);
   ::close(fd);
@@ -298,6 +299,33 @@ TEST(ServeServer, StatsRequestReportsCountersAndMetrics) {
   EXPECT_FALSE(metrics_json.empty());
   EXPECT_NE(metrics_json.find("serve."), std::string::npos)
       << "serve counters missing from the metrics registry dump";
+}
+
+/// Open descriptors of this process (daemon and clients alike).
+std::ptrdiff_t OpenFds() {
+  return std::distance(fs::directory_iterator("/proc/self/fd"), fs::directory_iterator{});
+}
+
+TEST(ServeServer, ReapsDisconnectedClients) {
+  TestServer server(ServerConfig{});
+  const auto connect_and_close = [&](int i) {
+    Client client(ClientOpts(server.port(), "reap-" + std::to_string(i)));
+    std::string err;
+    ASSERT_TRUE(client.Connect(&err)) << err;
+  };
+  connect_and_close(-1);  // descriptors the first connection opens lazily
+  const std::ptrdiff_t before = OpenFds();
+  for (int i = 0; i < 200; ++i) connect_and_close(i);
+  // Finished connections are reaped when the next client is accepted, so
+  // the last few hold their descriptor until another client arrives (or
+  // their thread gets to run on a loaded machine): keep arriving briefly.
+  std::ptrdiff_t open = OpenFds();
+  for (int i = 200; i < 250 && open > before + 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    connect_and_close(i);
+    open = OpenFds();
+  }
+  EXPECT_LE(open, before + 4);
 }
 
 }  // namespace

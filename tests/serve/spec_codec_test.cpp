@@ -47,29 +47,29 @@ std::vector<SpecFrame> FeedAll(const std::string& bytes, std::size_t chunk) {
 }
 
 TEST(SpecCodec, HelloRoundTrip) {
-  const std::string payload = EncodeHello(kSpecSchemaVersion, "test-client");
-  std::uint32_t version = 0;
-  std::string name;
-  ASSERT_TRUE(DecodeHello(payload, version, name));
-  EXPECT_EQ(version, kSpecSchemaVersion);
-  EXPECT_EQ(name, "test-client");
+  const std::string payload = Encode(WireHello{kSpecSchemaVersion, "test-client"});
+  WireHello hello;
+  ASSERT_TRUE(Decode(payload, hello));
+  EXPECT_EQ(hello.schema_version, kSpecSchemaVersion);
+  EXPECT_EQ(hello.client_name, "test-client");
 
-  std::uint32_t ack_version = 0;
-  ASSERT_TRUE(DecodeHelloAck(EncodeHelloAck(kSpecSchemaVersion), ack_version));
-  EXPECT_EQ(ack_version, kSpecSchemaVersion);
+  WireHelloAck ack;
+  ASSERT_TRUE(Decode(Encode(WireHelloAck{kSpecSchemaVersion}), ack));
+  EXPECT_EQ(ack.schema_version, kSpecSchemaVersion);
 }
 
 TEST(SpecCodec, SubmitBatchRoundTripPreservesEverySpecField) {
-  std::vector<WireRequest> batch;
-  batch.push_back({11, SampleFaultySpec()});
-  batch.push_back({12, SampleGoldSpec()});
-  std::vector<WireRequest> decoded;
-  ASSERT_TRUE(DecodeSubmitBatch(EncodeSubmitBatch(batch), decoded));
+  WireBatch batch;
+  batch.requests.push_back({11, SampleFaultySpec()});
+  batch.requests.push_back({12, SampleGoldSpec()});
+  WireBatch decoded_batch;
+  ASSERT_TRUE(Decode(Encode(batch), decoded_batch));
+  const auto& decoded = decoded_batch.requests;
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].request_id, 11u);
   EXPECT_EQ(decoded[1].request_id, 12u);
   const WireSpec& a = decoded[0].spec;
-  const WireSpec& want = batch[0].spec;
+  const WireSpec& want = batch.requests[0].spec;
   EXPECT_EQ(a.mission_index, want.mission_index);
   EXPECT_EQ(a.seed_base, want.seed_base);
   EXPECT_EQ(a.recovery, want.recovery);
@@ -83,50 +83,44 @@ TEST(SpecCodec, SubmitBatchRoundTripPreservesEverySpecField) {
 }
 
 TEST(SpecCodec, ProgressResultRejectStatsRoundTrip) {
-  std::uint64_t id = 0;
-  RequestState state = RequestState::kQueued;
-  ASSERT_TRUE(DecodeProgress(EncodeProgress(42, RequestState::kAttached), id, state));
-  EXPECT_EQ(id, 42u);
-  EXPECT_EQ(state, RequestState::kAttached);
+  WireProgress progress;
+  ASSERT_TRUE(Decode(Encode(WireProgress{42, RequestState::kAttached}), progress));
+  EXPECT_EQ(progress.request_id, 42u);
+  EXPECT_EQ(progress.state, RequestState::kAttached);
 
-  ResultSource source = ResultSource::kComputed;
-  std::string bytes;
+  WireResult result;
   const std::string opaque = std::string("binary\0payload", 14);
-  ASSERT_TRUE(DecodeResult(EncodeResult(7, ResultSource::kStoreHit, opaque), id,
-                           source, bytes));
-  EXPECT_EQ(id, 7u);
-  EXPECT_EQ(source, ResultSource::kStoreHit);
-  EXPECT_EQ(bytes, opaque);  // opaque payloads must survive embedded NULs
+  ASSERT_TRUE(Decode(Encode(WireResult{7, ResultSource::kStoreHit, opaque}), result));
+  EXPECT_EQ(result.request_id, 7u);
+  EXPECT_EQ(result.source, ResultSource::kStoreHit);
+  EXPECT_EQ(result.result_bytes, opaque);  // opaque payloads must survive embedded NULs
 
-  RejectReason reason = RejectReason::kNone;
-  std::string detail;
-  ASSERT_TRUE(DecodeReject(
-      EncodeReject(9, RejectReason::kRejectedOverload, "queue full"), id, reason,
-      detail));
-  EXPECT_EQ(id, 9u);
-  EXPECT_EQ(reason, RejectReason::kRejectedOverload);
-  EXPECT_EQ(detail, "queue full");
+  WireReject reject;
+  ASSERT_TRUE(
+      Decode(Encode(WireReject{9, RejectReason::kRejectedOverload, "queue full"}), reject));
+  EXPECT_EQ(reject.request_id, 9u);
+  EXPECT_EQ(reject.reason, RejectReason::kRejectedOverload);
+  EXPECT_EQ(reject.detail, "queue full");
 
-  ServeStats stats;
-  stats.accepted = 10;
-  stats.completed = 9;
-  stats.singleflight = 3;
-  stats.gold_computed = 2;
-  ServeStats out;
-  std::string json;
-  ASSERT_TRUE(DecodeStatsReply(EncodeStatsReply(stats, "{\"x\":1}"), out, json));
-  EXPECT_EQ(out.accepted, 10u);
-  EXPECT_EQ(out.completed, 9u);
-  EXPECT_EQ(out.singleflight, 3u);
-  EXPECT_EQ(out.gold_computed, 2u);
-  EXPECT_EQ(json, "{\"x\":1}");
+  WireStatsReply stats;
+  stats.stats.accepted = 10;
+  stats.stats.completed = 9;
+  stats.stats.singleflight = 3;
+  stats.stats.gold_computed = 2;
+  stats.metrics_json = "{\"x\":1}";
+  WireStatsReply out;
+  ASSERT_TRUE(Decode(Encode(stats), out));
+  EXPECT_EQ(out.stats.accepted, 10u);
+  EXPECT_EQ(out.stats.completed, 9u);
+  EXPECT_EQ(out.stats.singleflight, 3u);
+  EXPECT_EQ(out.stats.gold_computed, 2u);
+  EXPECT_EQ(out.metrics_json, "{\"x\":1}");
 }
 
 TEST(SpecCodec, FrameReaderReassemblesAcrossArbitraryFragmentation) {
   std::string bytes;
-  bytes += EncodeFrame(SpecMsgType::kHello, EncodeHello(kSpecSchemaVersion, "c"));
-  bytes += EncodeFrame(SpecMsgType::kProgress,
-                       EncodeProgress(5, RequestState::kRunning));
+  bytes += EncodeFrame(SpecMsgType::kHello, Encode(WireHello{kSpecSchemaVersion, "c"}));
+  bytes += EncodeFrame(SpecMsgType::kProgress, Encode(WireProgress{5, RequestState::kRunning}));
   bytes += EncodeFrame(SpecMsgType::kStats, std::string());
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
@@ -136,26 +130,24 @@ TEST(SpecCodec, FrameReaderReassemblesAcrossArbitraryFragmentation) {
     EXPECT_EQ(frames[0].type, SpecMsgType::kHello);
     EXPECT_EQ(frames[1].type, SpecMsgType::kProgress);
     EXPECT_EQ(frames[2].type, SpecMsgType::kStats);
-    std::uint64_t id = 0;
-    RequestState state = RequestState::kQueued;
-    ASSERT_TRUE(DecodeProgress(frames[1].payload, id, state));
-    EXPECT_EQ(id, 5u);
-    EXPECT_EQ(state, RequestState::kRunning);
+    WireProgress progress;
+    ASSERT_TRUE(Decode(frames[1].payload, progress));
+    EXPECT_EQ(progress.request_id, 5u);
+    EXPECT_EQ(progress.state, RequestState::kRunning);
   }
 }
 
 TEST(SpecCodec, TruncatedPayloadFailsToDecode) {
-  const std::string payload = EncodeHello(kSpecSchemaVersion, "client-name");
-  std::uint32_t version = 0;
-  std::string name;
+  const std::string payload = Encode(WireHello{kSpecSchemaVersion, "client-name"});
+  WireHello hello;
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(DecodeHello(payload.substr(0, cut), version, name)) << "cut=" << cut;
+    EXPECT_FALSE(Decode(payload.substr(0, cut), hello)) << "cut=" << cut;
   }
-  const std::string batch = EncodeSubmitBatch({{1, SampleFaultySpec()}});
-  std::vector<WireRequest> decoded;
+  const std::string batch = Encode(WireBatch{{{1, SampleFaultySpec()}}});
+  WireBatch decoded;
   for (const std::size_t cut : {std::size_t{0}, std::size_t{4}, batch.size() / 2,
                                 batch.size() - 1}) {
-    EXPECT_FALSE(DecodeSubmitBatch(batch.substr(0, cut), decoded)) << "cut=" << cut;
+    EXPECT_FALSE(Decode(batch.substr(0, cut), decoded)) << "cut=" << cut;
   }
 }
 
@@ -163,13 +155,12 @@ TEST(SpecCodec, TrailingJunkFailsToDecode) {
   // Decoders enforce full payload consumption: a frame carrying extra bytes
   // is a framing bug upstream, not something to silently ignore.
   EXPECT_FALSE([&] {
-    std::uint32_t v = 0;
-    return DecodeHelloAck(EncodeHelloAck(kSpecSchemaVersion) + "x", v);
+    WireHelloAck ack;
+    return Decode(Encode(WireHelloAck{kSpecSchemaVersion}) + "x", ack);
   }());
   EXPECT_FALSE([&] {
-    std::vector<WireRequest> decoded;
-    return DecodeSubmitBatch(EncodeSubmitBatch({{1, SampleGoldSpec()}}) + "junk",
-                             decoded);
+    WireBatch decoded;
+    return Decode(Encode(WireBatch{{{1, SampleGoldSpec()}}}) + "junk", decoded);
   }());
 }
 
@@ -196,8 +187,7 @@ TEST(SpecCodec, OversizedFrameLengthPoisonsReader) {
 TEST(SpecCodec, RejectsOverlongBatchAndStrings) {
   // Batch count beyond kMaxSpecsPerBatch must fail before any allocation
   // proportional to the claimed count.
-  std::vector<WireRequest> batch(1, {1, SampleGoldSpec()});
-  std::string payload = EncodeSubmitBatch(batch);
+  std::string payload = Encode(WireBatch{{{1, SampleGoldSpec()}}});
   // Patch the leading u32 count to an absurd value; the rest of the payload
   // is now short, but the count check must trip first.
   const std::uint32_t absurd = kMaxSpecsPerBatch + 1;
@@ -205,14 +195,12 @@ TEST(SpecCodec, RejectsOverlongBatchAndStrings) {
   payload[1] = static_cast<char>((absurd >> 8) & 0xFF);
   payload[2] = static_cast<char>((absurd >> 16) & 0xFF);
   payload[3] = static_cast<char>((absurd >> 24) & 0xFF);
-  std::vector<WireRequest> decoded;
-  EXPECT_FALSE(DecodeSubmitBatch(payload, decoded));
+  WireBatch decoded;
+  EXPECT_FALSE(Decode(payload, decoded));
 
-  std::uint32_t version = 0;
-  std::string name;
-  EXPECT_FALSE(DecodeHello(
-      EncodeHello(kSpecSchemaVersion, std::string(kMaxWireStringLen + 1, 'x')),
-      version, name));
+  WireHello hello;
+  EXPECT_FALSE(Decode(
+      Encode(WireHello{kSpecSchemaVersion, std::string(kMaxWireStringLen + 1, 'x')}), hello));
 }
 
 TEST(SpecCodec, SchemaVersionMatchesApiContract) {

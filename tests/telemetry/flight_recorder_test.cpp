@@ -34,7 +34,7 @@ TEST(FlightRecorder, RoundTripPreservesEverything) {
   std::stringstream buffer;
   ASSERT_TRUE(WriteFlightRecord(buffer, original));
 
-  const auto loaded = ReadFlightRecord(buffer);
+  const auto loaded = ReadFlightRecord(buffer.str());
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->trajectory.Size(), original.trajectory.Size());
   for (std::size_t i = 0; i < original.trajectory.Size(); ++i) {
@@ -59,7 +59,7 @@ TEST(FlightRecorder, RoundTripPreservesEverything) {
 TEST(FlightRecorder, EmptyRecordRoundTrips) {
   std::stringstream buffer;
   ASSERT_TRUE(WriteFlightRecord(buffer, FlightRecord{}));
-  const auto loaded = ReadFlightRecord(buffer);
+  const auto loaded = ReadFlightRecord(buffer.str());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->trajectory.Empty());
   EXPECT_TRUE(loaded->log.Events().empty());
@@ -68,7 +68,7 @@ TEST(FlightRecorder, EmptyRecordRoundTrips) {
 TEST(FlightRecorder, RejectsBadMagic) {
   std::stringstream buffer;
   buffer << "NOPE" << std::string(100, '\0');
-  EXPECT_FALSE(ReadFlightRecord(buffer).has_value());
+  EXPECT_FALSE(ReadFlightRecord(buffer.str()).has_value());
 }
 
 TEST(FlightRecorder, RejectsTruncatedSamples) {
@@ -78,7 +78,7 @@ TEST(FlightRecorder, RejectsTruncatedSamples) {
   const std::string full = buffer.str();
   // Cut the stream mid-sample.
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_FALSE(ReadFlightRecord(truncated).has_value());
+  EXPECT_FALSE(ReadFlightRecord(truncated.str()).has_value());
 }
 
 TEST(FlightRecorder, RejectsAbsurdCounts) {
@@ -90,7 +90,7 @@ TEST(FlightRecorder, RejectsAbsurdCounts) {
   put_u32(kFlightRecordVersion);
   put_u32(0xFFFFFFFFu);  // sample count far beyond the sanity bound
   put_u32(0);
-  EXPECT_FALSE(ReadFlightRecord(buffer).has_value());
+  EXPECT_FALSE(ReadFlightRecord(buffer.str()).has_value());
 }
 
 TEST(FlightRecorder, RejectsWrongVersion) {
@@ -102,7 +102,7 @@ TEST(FlightRecorder, RejectsWrongVersion) {
   put_u32(kFlightRecordVersion + 7);
   put_u32(0);
   put_u32(0);
-  EXPECT_FALSE(ReadFlightRecord(buffer).has_value());
+  EXPECT_FALSE(ReadFlightRecord(buffer.str()).has_value());
 }
 
 TEST(FlightRecorder, FileRoundTrip) {

@@ -48,8 +48,7 @@ std::string Encode(const sim::Snapshot& snap) {
 }
 
 std::optional<sim::Snapshot> Decode(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  return telemetry::ReadSnapshot(is);
+  return telemetry::ReadSnapshot(bytes);
 }
 
 TEST(SnapshotCodec, RoundTripPreservesEveryField) {

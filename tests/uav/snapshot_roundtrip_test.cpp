@@ -50,7 +50,7 @@ void RoundTripAndCoStep(const uav::UavConfig& cfg, const nav::MissionPlan& plan,
   // Through the codec: what RestoreState sees is what a .uvsnap file holds.
   std::stringstream ss(std::ios::binary | std::ios::in | std::ios::out);
   telemetry::WriteSnapshot(ss, snap);
-  const auto loaded = telemetry::ReadSnapshot(ss);
+  const auto loaded = telemetry::ReadSnapshot(ss.str());
   ASSERT_TRUE(loaded.has_value());
 
   uav::Uav clone(cfg, plan, fault, kSeed);

@@ -17,7 +17,7 @@ struct Rig {
     for (int id : {1, 2}) {
       TrackedDrone d;
       d.drone_id = id;
-      d.name = "D" + std::to_string(id);
+      d.name = std::string("D").append(std::to_string(id));
       d.bubble.drone_dimension_m = 0.5;
       d.bubble.safety_distance_m = 1.5;
       d.bubble.top_speed_ms = 2.0;

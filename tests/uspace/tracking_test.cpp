@@ -10,7 +10,7 @@ using math::Vec3;
 TrackedDrone Drone(int id, double max_speed = 5.0) {
   TrackedDrone d;
   d.drone_id = id;
-  d.name = "D" + std::to_string(id);
+  d.name = std::string("D").append(std::to_string(id));
   d.max_speed_ms = max_speed;
   return d;
 }
