@@ -19,50 +19,25 @@ void Fields(V& v, BusLogHeader& h) {
   v(h.recovery);
 }
 
-/// Topic id, stamp, then the fixed payload of that topic.
+/// Topic id, stamp, then the fixed payload of that topic, by the payload
+/// type's own field list (topics.h).
 template <class V>
 void Fields(V& v, BusFrame& f) {
   v(InRange{f.id, TopicId::kImu, TopicId::kDetector}, f.t);
   switch (f.id) {
-    case TopicId::kImu:
-      for (auto& u : f.imu.units) v(u.t, u.accel_mps2, u.gyro_rads);
-      break;
-    case TopicId::kGps: v(f.gps.t, f.gps.pos_ned_m, f.gps.vel_ned_mps, f.gps.valid); break;
-    case TopicId::kBaro: v(f.baro.t, f.baro.alt_m); break;
-    case TopicId::kMag: v(f.mag.t, f.mag.field_body); break;
-    case TopicId::kEstimate: {
-      auto& s = f.estimate;
-      v(s.att, s.vel, s.pos, s.gyro_bias, s.accel_bias, s.body_rate);
-      break;
-    }
-    case TopicId::kEstimatorStatus: {
-      auto& s = f.estimator_status;
-      v(s.gps_pos_test_ratio, s.gps_vel_test_ratio, s.baro_test_ratio, s.mag_test_ratio,
-        s.time_since_gps_accept_s, s.gps_reset_count, s.gps_large_reset_count,
-        s.attitude_reset_count, s.numerically_healthy, s.cov_asymmetry_events,
-        s.cov_negative_variance_events, s.cov_trace_peak);
-      break;
-    }
-    case TopicId::kImuSelect: v(f.imu_select.unit); break;
-    case TopicId::kHealth: v(f.health.failsafe, f.health.reason); break;
-    case TopicId::kSetpoint: {
-      auto& s = f.setpoint;
-      v(s.sp.pos, s.sp.vel_ff, s.sp.yaw, s.sp.cruise_speed, s.flight_mode, s.landed);
-      break;
-    }
-    case TopicId::kActuator: v(f.actuator.cmds, f.actuator.collective); break;
-    case TopicId::kTruth: {
-      auto& s = f.truth.state;
-      v(s.pos, s.vel, s.att, s.omega, s.accel_world, f.truth.on_ground,
-        f.truth.induced_power_w);
-      break;
-    }
-    case TopicId::kBattery: v(f.battery.critical, f.battery.empty, f.battery.soc); break;
-    case TopicId::kDetector: {
-      auto& s = f.detector;
-      v(s.state, s.failover, s.cusum, s.plausibility, s.first_confirm_time_s);
-      break;
-    }
+    case TopicId::kImu: v(f.imu); break;
+    case TopicId::kGps: v(f.gps); break;
+    case TopicId::kBaro: v(f.baro); break;
+    case TopicId::kMag: v(f.mag); break;
+    case TopicId::kEstimate: v(f.estimate); break;
+    case TopicId::kEstimatorStatus: v(f.estimator_status); break;
+    case TopicId::kImuSelect: v(f.imu_select); break;
+    case TopicId::kHealth: v(f.health); break;
+    case TopicId::kSetpoint: v(f.setpoint); break;
+    case TopicId::kActuator: v(f.actuator); break;
+    case TopicId::kTruth: v(f.truth); break;
+    case TopicId::kBattery: v(f.battery); break;
+    case TopicId::kDetector: v(f.detector); break;
   }
 }
 

@@ -10,7 +10,8 @@
 //
 // The header (magic "UVBS", provenance, optional fault block) and the frames
 // (u8 topic id, f64 stamp, fixed per-topic payload) are declared once, as
-// field lists in record.cpp on the telemetry/binary_io.h codec.
+// field lists in record.cpp on the telemetry/binary_io.h codec; each payload
+// is its type's own list (topics.h), shared with the snapshot's bus section.
 //
 // Version history: v1 had no recovery flag and no kDetector topic; v2 adds
 // both. Readers reject other versions outright — logs are regenerable test

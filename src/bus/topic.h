@@ -73,11 +73,11 @@ class Topic {
   /// Time of the latest publication.
   double stamp() const { return stamp_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(value_, stamp_, generation_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Topic& x) {
+    v(x.value_, x.stamp_, x.generation_);
   }
 
  private:

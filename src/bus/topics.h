@@ -9,8 +9,10 @@
 // Payload types reuse the domain structs where one exists (sensor samples,
 // the EKF's NavState/EkfStatus, the position setpoint); bus-local structs
 // cover signals that had no first-class type inside the old monolithic
-// `Uav::Step()`. The bus layer sits above sensors/estimation/control and
-// below nav/core/uav — see tools/check_layering.py for the enforced DAG.
+// `Uav::Step()`. Every payload type carries its codec field list
+// (telemetry/binary_io.h), which both the .uvbs frames and the snapshot's bus
+// section use. The bus layer sits above sensors/estimation/control and below
+// nav/core/uav — see tools/check_layering.py for the enforced DAG.
 #pragma once
 
 #include <array>
@@ -21,6 +23,7 @@
 #include "estimation/ekf.h"
 #include "sensors/samples.h"
 #include "sim/rigid_body.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::bus {
 
@@ -33,12 +36,22 @@ struct TruthSignal {
   double induced_power_w{0.0};  ///< rotor aerodynamic power (battery model)
 };
 
+template <class V>
+void Fields(V& v, TruthSignal& s) {
+  v(s.state, s.on_ground, s.induced_power_w);
+}
+
 /// The redundant IMU set, one sample per physical unit. Fault interceptors
 /// corrupt all units at once (the paper's fault model).
 struct ImuSignal {
   static constexpr int kUnits = 3;
   std::array<sensors::ImuSample, kUnits> units{};
 };
+
+template <class V>
+void Fields(V& v, ImuSignal& s) {
+  v(s.units);
+}
 
 /// Which redundant IMU unit downstream consumers should trust; published by
 /// the health monitor (isolation cycling), consumed by the estimator on the
@@ -47,11 +60,22 @@ struct ImuSelectSignal {
   int unit{0};
 };
 
+/// The unit indexes ImuSignal::units, so the reader refuses any other value.
+template <class V>
+void Fields(V& v, ImuSelectSignal& s) {
+  v(telemetry::InRange{s.unit, 0, ImuSignal::kUnits - 1});
+}
+
 /// Health monitor verdict.
 struct HealthSignal {
   bool failsafe{false};
   std::uint8_t reason{0};  ///< nav::FailsafeReason (raw: bus sits below nav)
 };
+
+template <class V>
+void Fields(V& v, HealthSignal& s) {
+  v(s.failsafe, s.reason);
+}
 
 /// Battery state of charge, published post-drain each step.
 struct BatterySignal {
@@ -59,6 +83,11 @@ struct BatterySignal {
   bool empty{false};
   double soc{1.0};
 };
+
+template <class V>
+void Fields(V& v, BatterySignal& s) {
+  v(s.critical, s.empty, s.soc);
+}
 
 /// Commander output: the outer-loop setpoint plus the flight mode the
 /// control cascade and battery model need.
@@ -68,11 +97,21 @@ struct SetpointSignal {
   bool landed{false};
 };
 
+template <class V>
+void Fields(V& v, SetpointSignal& s) {
+  v(s.sp, s.flight_mode, s.landed);
+}
+
 /// Mixed rotor commands plus the collective thrust that produced them.
 struct ActuatorSignal {
   std::array<double, 4> cmds{};
   double collective{0.0};
 };
+
+template <class V>
+void Fields(V& v, ActuatorSignal& s) {
+  v(s.cmds, s.collective);
+}
 
 /// IMU-fault detector verdict (estimation/detectors.h), published by the
 /// detector stage from inside the estimator-status publish. Only published
@@ -85,6 +124,11 @@ struct DetectorSignal {
   double plausibility{0.0};
   double first_confirm_time_s{-1.0};
 };
+
+template <class V>
+void Fields(V& v, DetectorSignal& s) {
+  v(s.state, s.failover, s.cusum, s.plausibility, s.first_confirm_time_s);
+}
 
 /// Stable topic identifiers for the record/replay stream (record.h). The
 /// order is also the canonical intra-step serialization order and mirrors
@@ -124,13 +168,14 @@ struct FlightBus {
   Topic<BatterySignal> battery;
   Topic<DetectorSignal> detector;
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): every topic's latest
-  /// value, stamp and generation, in TopicId order. Interceptor registrations
-  /// are wiring, not state — a restored vehicle re-registers its own.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(imu, gps, baro, mag, estimate, estimator_status, imu_select, health, setpoint,
-      actuator, truth, battery, detector);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): every
+  /// topic's latest value, stamp and generation, in TopicId order.
+  /// Interceptor registrations are wiring, not state — a restored vehicle
+  /// re-registers its own.
+  template <class V>
+  friend void Fields(V& v, FlightBus& x) {
+    v(x.imu, x.gps, x.baro, x.mag, x.estimate, x.estimator_status, x.imu_select, x.health,
+      x.setpoint, x.actuator, x.truth, x.battery, x.detector);
   }
 };
 

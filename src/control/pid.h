@@ -67,11 +67,11 @@ class Pid {
 
   double integral() const { return integral_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(integral_, last_error_, d_state_, initialized_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Pid& x) {
+    v(x.integral_, x.last_error_, x.d_state_, x.initialized_);
   }
 
  private:
@@ -98,11 +98,11 @@ class PidVec3 {
     return {x_.Update(error.x, dt), y_.Update(error.y, dt), z_.Update(error.z, dt)};
   }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(x_, y_, z_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, PidVec3& x) {
+    v(x.x_, x.y_, x.z_);
   }
 
  private:

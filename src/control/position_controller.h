@@ -35,6 +35,12 @@ struct PositionSetpoint {
   double cruise_speed{5.0};  ///< speed limit for this mission leg [m/s]
 };
 
+/// Codec field list (telemetry/binary_io.h), inside the .uvbs setpoint payload.
+template <class V>
+void Fields(V& v, PositionSetpoint& s) {
+  v(s.pos, s.vel_ff, s.yaw, s.cruise_speed);
+}
+
 /// Output of the outer loop, consumed by the attitude controller.
 struct AttitudeSetpoint {
   math::Quat att;
@@ -57,11 +63,11 @@ class PositionController {
   /// Last velocity setpoint (for telemetry/tests).
   const math::Vec3& velocity_setpoint() const { return vel_sp_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(vel_pid_, vel_sp_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, PositionController& x) {
+    v(x.vel_pid_, x.vel_sp_);
   }
 
  private:

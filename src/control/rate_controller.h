@@ -39,11 +39,11 @@ class RateController {
             yaw_.Update(rate_sp.z - rate_meas.z, dt)};
   }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(roll_, pitch_, yaw_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, RateController& x) {
+    v(x.roll_, x.pitch_, x.yaw_);
   }
 
  private:

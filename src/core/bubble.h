@@ -42,11 +42,11 @@ class OuterBubble {
   double radius() const { return radius_; }
   double inner_radius() const { return inner_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(radius_, prev_airspeed_, prev_distance_, initialized_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, OuterBubble& x) {
+    v(x.radius_, x.prev_airspeed_, x.prev_distance_, x.initialized_);
   }
 
  private:
@@ -76,11 +76,11 @@ class BubbleMonitor {
   double last_outer_radius() const { return outer_.radius(); }
   double max_deviation() const { return max_deviation_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(outer_, inner_violations_, outer_violations_, instants_, max_deviation_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, BubbleMonitor& x) {
+    v(x.outer_, x.inner_violations_, x.outer_violations_, x.instants_, x.max_deviation_);
   }
 
  private:

@@ -68,11 +68,11 @@ class FaultInjector {
   const math::Vec3& fixed_accel() const { return fixed_accel_; }
   const math::Vec3& fixed_gyro() const { return fixed_gyro_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(axis_rng_, fixed_accel_, fixed_gyro_, frozen_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, FaultInjector& x) {
+    v(x.axis_rng_, x.fixed_accel_, x.fixed_gyro_, x.frozen_);
   }
 
  private:

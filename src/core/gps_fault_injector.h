@@ -69,11 +69,11 @@ class GpsFaultInjector {
   /// The jump direction drawn for this experiment (unit vector, horizontal).
   const math::Vec3& offset_direction() const { return direction_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(rng_, direction_, frozen_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, GpsFaultInjector& x) {
+    v(x.rng_, x.direction_, x.frozen_);
   }
 
  private:

@@ -35,6 +35,7 @@
 #include "math/matrix.h"
 #include "math/quat.h"
 #include "math/vec3.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::core {
 
@@ -64,11 +65,14 @@ struct InvariantViolation {
   double bound{0.0};
   std::string detail;
 
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(id, t, value, bound, detail);
-  }
 };
+
+/// Codec field list, for snapshots (DESIGN.md §16).
+template <class V>
+void Fields(V& v, InvariantViolation& x) {
+  v(telemetry::InRange{x.id, InvariantId::kStateFinite, InvariantId::kFailsafeLatency}, x.t,
+    x.value, x.bound, telemetry::Capped{x.detail, telemetry::kMaxMessageLen});
+}
 
 /// Checker behaviour.
 enum class InvariantMode : std::uint8_t {
@@ -165,11 +169,13 @@ class InvariantChecker {
   /// Per-id tally over the flight.
   std::size_t CountFor(InvariantId id) const;
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(violations_, total_, per_id_, prev_energy_j_, have_prev_energy_, last_cov_asym_events_, last_cov_neg_var_events_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, InvariantChecker& x) {
+    v(telemetry::Capped{x.violations_, x.cfg_.max_recorded}, x.total_, x.per_id_,
+      x.prev_energy_j_, x.have_prev_energy_, x.last_cov_asym_events_,
+      x.last_cov_neg_var_events_);
   }
 
  private:

@@ -18,8 +18,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint32_t kMaxNameLen = 4096;
-
 /// Process-unique token for temp-file names: two writers — threads of one
 /// process or distinct processes sharing the directory — must never collide
 /// on a temp path, or one could rename the other's half-written file into
@@ -122,6 +120,7 @@ template <class V>
 void Fields(V& v, MissionResult& r) {
   using telemetry::Capped;
   using telemetry::InRange;
+  using telemetry::kMaxNameLen;
   v(r.mission_index, Capped{r.mission_name, kMaxNameLen}, r.is_gold,
     InRange{r.fault.type, FaultType::kFixed, FaultType::kDrift},
     InRange{r.fault.target, FaultTarget::kAccelerometer, FaultTarget::kImu},

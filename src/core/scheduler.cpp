@@ -29,11 +29,13 @@ unsigned Resolve(const SchedulerOptions& opts) {
   return n == 0 ? 2 : n;
 }
 
-std::size_t ChunkTarget(std::size_t n, unsigned n_threads, const SchedulerOptions& opts) {
-  // ~4 chunks per worker keeps steal granularity fine enough to rebalance
-  // without paying one deque round-trip per job.
+/// Jobs per chunk: ~4 chunks per worker keeps steal granularity fine enough
+/// to rebalance without paying one deque round-trip per job, within 1..8.
+std::size_t ChunkTarget(std::size_t n, unsigned n_threads) {
+  constexpr std::size_t kMinChunk = 1;
+  constexpr std::size_t kMaxChunk = 8;
   const std::size_t raw = n / (static_cast<std::size_t>(n_threads) * 4 + 1);
-  return std::clamp(raw, std::max<std::size_t>(opts.min_chunk, 1), opts.max_chunk);
+  return std::clamp(raw, kMinChunk, kMaxChunk);
 }
 
 void RunChunks(std::vector<WorkerQueue>& queues, std::size_t n_jobs,
@@ -221,7 +223,7 @@ void ParallelFor(std::size_t n, const std::vector<double>& costs,
   const double mean =
       std::accumulate(costs.begin(), costs.end(), 0.0) / static_cast<double>(n);
   const double singleton_threshold = 2.0 * mean;
-  const std::size_t target = ChunkTarget(n, n_threads, opts);
+  const std::size_t target = ChunkTarget(n, n_threads);
 
   std::vector<Chunk> chunks;
   chunks.reserve(n / target + 8);

@@ -37,10 +37,6 @@ struct SchedulerOptions {
   /// The calling thread is always one of the workers, so `num_threads = 1`
   /// runs everything inline with zero thread spawns.
   int num_threads{0};
-  /// Bounds on jobs per chunk for the uncosted overload. The costed overload
-  /// additionally forces singleton chunks for jobs above twice the mean cost.
-  std::size_t min_chunk{1};
-  std::size_t max_chunk{8};
 };
 
 /// Runs `fn(0) .. fn(n - 1)` across a transient worker pool, blocking until

@@ -50,11 +50,11 @@ class BaroFaultInjector {
   /// kFixed's constant (drawn once per experiment), for logging and tests.
   double fixed_alt_m() const { return fixed_alt_m_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(rng_, fixed_alt_m_, frozen_alt_m_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, BaroFaultInjector& x) {
+    v(x.rng_, x.fixed_alt_m_, x.frozen_alt_m_);
   }
 
  private:
@@ -79,11 +79,11 @@ class MagFaultInjector {
   /// kFixed's constant (drawn once per experiment), for logging and tests.
   const math::Vec3& fixed_field() const { return fixed_field_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(rng_, fixed_field_, frozen_field_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, MagFaultInjector& x) {
+    v(x.rng_, x.fixed_field_, x.frozen_field_);
   }
 
  private:

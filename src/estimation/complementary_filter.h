@@ -39,11 +39,11 @@ class ComplementaryFilter {
   const math::Quat& attitude() const { return att_; }
   const math::Vec3& gyro_bias() const { return gyro_bias_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(att_, gyro_bias_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, ComplementaryFilter& x) {
+    v(x.att_, x.gyro_bias_);
   }
 
  private:

@@ -30,6 +30,7 @@
 #include "estimation/ekf.h"
 #include "math/vec3.h"
 #include "sensors/samples.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::estimation {
 
@@ -104,11 +105,13 @@ class ImuFaultDetector {
   double plausibility_level() const { return plaus_level_; }
   const DetectorConfig& config() const { return cfg_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(state_, plaus_level_, last_gyro_, last_accel_, have_last_, stuck_s_, cusum_, quiet_s_, first_confirm_time_s_, last_confirm_time_s_, confirm_events_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, ImuFaultDetector& x) {
+    v(telemetry::InRange{x.state_, DetectorState::kNominal, DetectorState::kRecovered},
+      x.plaus_level_, x.last_gyro_, x.last_accel_, x.have_last_, x.stuck_s_, x.cusum_,
+      x.quiet_s_, x.first_confirm_time_s_, x.last_confirm_time_s_, x.confirm_events_);
   }
 
  private:

@@ -95,6 +95,16 @@ struct EkfStatus {
   double cov_trace_peak{0.0};          ///< largest trace(P) observed
 };
 
+/// Codec field list (telemetry/binary_io.h): the .uvbs payload and its
+/// snapshot form.
+template <class V>
+void Fields(V& v, EkfStatus& s) {
+  v(s.gps_pos_test_ratio, s.gps_vel_test_ratio, s.baro_test_ratio, s.mag_test_ratio,
+    s.time_since_gps_accept_s, s.gps_reset_count, s.gps_large_reset_count,
+    s.attitude_reset_count, s.numerically_healthy, s.cov_asymmetry_events,
+    s.cov_negative_variance_events, s.cov_trace_peak);
+}
+
 /// Estimated vehicle state exposed to the controllers.
 struct NavState {
   math::Quat att;
@@ -106,6 +116,11 @@ struct NavState {
   /// controller consumes this (PX4 feeds the rate loop from the gyro).
   math::Vec3 body_rate;
 };
+
+template <class V>
+void Fields(V& v, NavState& s) {
+  v(s.att, s.vel, s.pos, s.gyro_bias, s.accel_bias, s.body_rate);
+}
 
 /// 15-state error-state EKF.
 class Ekf {
@@ -135,11 +150,13 @@ class Ekf {
   /// 1-sigma horizontal position uncertainty [m].
   double HorizontalPosStd() const;
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(nav_, P_, status_, last_accel_corrected_, cov_step_counter_, time_, last_gps_accept_time_, last_pos_axis_accept_, last_vel_axis_accept_, gravity_disagreement_s_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Ekf& x) {
+    v(x.nav_, x.P_, x.status_, x.last_accel_corrected_, x.cov_step_counter_, x.time_,
+      x.last_gps_accept_time_, x.last_pos_axis_accept_, x.last_vel_axis_accept_,
+      x.gravity_disagreement_s_);
   }
 
  private:

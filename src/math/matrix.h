@@ -20,6 +20,12 @@ struct Matrix {
   static_assert(R > 0 && C > 0);
   std::array<double, static_cast<std::size_t>(R) * C> d{};
 
+  /// Codec field list (telemetry/binary_io.h): the entries, row-major.
+  template <class V>
+  friend void Fields(V& v, Matrix& m) {
+    v(m.d);
+  }
+
   constexpr double operator()(int r, int c) const { return d[static_cast<std::size_t>(r) * C + c]; }
   constexpr double& operator()(int r, int c) { return d[static_cast<std::size_t>(r) * C + c]; }
 

@@ -52,11 +52,11 @@ class Rng {
   /// own stream so adding noise to one sensor does not perturb another.
   Rng Fork();
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(s_, cached_gauss_, has_cached_gauss_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Rng& x) {
+    v(x.s_, x.cached_gauss_, x.has_cached_gauss_);
   }
 
  private:

@@ -11,6 +11,7 @@
 #include "estimation/ekf.h"
 #include "nav/mission.h"
 #include "nav/trajectory_gen.h"
+#include "telemetry/binary_io.h"
 #include "telemetry/flight_log.h"
 
 namespace uavres::nav {
@@ -72,11 +73,13 @@ class Commander {
 
   const TrajectoryGenerator& trajectory() const { return traj_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(traj_, mode_, failsafe_engaged_, landed_from_land_, landed_time_, hold_pos_, descent_z_, low_and_slow_s_, mission_yaw_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Commander& x) {
+    v(x.traj_, telemetry::InRange{x.mode_, FlightMode::kStandby, FlightMode::kLanded},
+      x.failsafe_engaged_, x.landed_from_land_, x.landed_time_, x.hold_pos_, x.descent_z_,
+      x.low_and_slow_s_, x.mission_yaw_);
   }
 
  private:

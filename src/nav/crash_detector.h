@@ -10,6 +10,7 @@
 
 #include "math/num.h"
 #include "sim/quadrotor.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::nav {
 
@@ -35,11 +36,12 @@ class CrashDetector {
   double crash_time() const { return crash_time_; }
   const std::string& reason() const { return reason_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(crashed_, crash_time_, reason_, seen_touchdowns_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, CrashDetector& x) {
+    v(x.crashed_, x.crash_time_, telemetry::Capped{x.reason_, telemetry::kMaxNameLen},
+      x.seen_touchdowns_);
   }
 
  private:

@@ -26,6 +26,7 @@
 
 #include "estimation/ekf.h"
 #include "sensors/imu.h"
+#include "telemetry/binary_io.h"
 
 namespace uavres::nav {
 
@@ -133,11 +134,16 @@ class HealthMonitor {
   /// Diagnostic: current anomaly accumulation [s-equivalent].
   double anomaly_level() const { return anomaly_level_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(reason_, failsafe_time_, recovered_, anomaly_level_, confirmed_, confirm_time_, active_unit_, isolation_switches_, next_switch_time_, last_gyro_, have_last_, stuck_accum_, tilt_consecutive_s_, last_large_reset_count_, reset_window_start_, resets_in_window_, baro_reject_s_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, HealthMonitor& x) {
+    v(telemetry::InRange{x.reason_, FailsafeReason::kNone, FailsafeReason::kEstimatorFailure},
+      x.failsafe_time_, x.recovered_, x.anomaly_level_, x.confirmed_, x.confirm_time_,
+      telemetry::InRange{x.active_unit_, 0, x.cfg_.redundant_units - 1},
+      x.isolation_switches_, x.next_switch_time_, x.last_gyro_, x.have_last_, x.stuck_accum_,
+      x.tilt_consecutive_s_, x.last_large_reset_count_, x.reset_window_start_,
+      x.resets_in_window_, x.baro_reject_s_);
   }
 
  private:

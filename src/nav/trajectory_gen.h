@@ -31,11 +31,11 @@ class TrajectoryGenerator {
 
   double TotalLength() const { return total_length_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(s_, last_yaw_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, TrajectoryGenerator& x) {
+    v(x.s_, x.last_yaw_);
   }
 
  private:

@@ -39,11 +39,11 @@ class ImuUnit {
 
   const ImuRanges& ranges() const { return ranges_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(accel_noise_, gyro_noise_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, ImuUnit& x) {
+    v(x.accel_noise_, x.gyro_noise_);
   }
 
  private:
@@ -67,11 +67,11 @@ class RedundantImu {
 
   const ImuRanges& ranges() const { return ranges_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(units_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, RedundantImu& x) {
+    v(x.units_);
   }
 
  private:

@@ -33,11 +33,11 @@ class TriaxialNoise {
     return truth + bias_ + rng_.GaussianVec3(params_.white_stddev);
   }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(rng_, bias_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, TriaxialNoise& x) {
+    v(x.rng_, x.bias_);
   }
 
  private:

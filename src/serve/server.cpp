@@ -1,6 +1,9 @@
 #include "serve/server.h"
 
+#include <cerrno>
+#include <chrono>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "serve/net.h"
@@ -90,9 +93,16 @@ void Server::Stop() {
 void Server::Run() {
   while (!stopping_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int accept_errno = errno;
     ReapFinishedConnections();
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
+      // Out of descriptors or kernel memory: the pending connection stays in
+      // the backlog, so an immediate retry fails again in a hot spin.
+      if (accept_errno == EMFILE || accept_errno == ENFILE || accept_errno == ENOBUFS ||
+          accept_errno == ENOMEM) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
       continue;  // transient accept failure (EINTR, peer gone mid-handshake)
     }
     auto conn = std::make_shared<Connection>();

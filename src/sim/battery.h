@@ -44,11 +44,11 @@ class Battery {
   /// Fully drained: motors can no longer be powered.
   bool Empty() const { return energy_j_ <= 0.0; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(energy_j_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Battery& x) {
+    v(x.energy_j_);
   }
 
  private:

@@ -37,11 +37,11 @@ class Environment {
   /// Wind velocity at the current instant [m/s, NED].
   math::Vec3 Wind() const { return params_.mean_wind_ned + gust_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(rng_, gust_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Environment& x) {
+    v(x.rng_, x.gust_);
   }
 
  private:

@@ -81,11 +81,11 @@ class Quadrotor {
   /// Number of air->ground transitions since reset.
   int touchdown_count() const { return touchdown_count_; }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(body_, rotors_, on_ground_, last_impact_speed_, touchdown_count_, failed_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, Quadrotor& x) {
+    v(x.body_, x.rotors_, x.on_ground_, x.last_impact_speed_, x.touchdown_count_, x.failed_);
   }
 
  private:

@@ -22,6 +22,13 @@ struct RigidBodyState {
   math::Vec3 accel_world;
 };
 
+/// Codec field list (telemetry/binary_io.h): the .uvbs truth payload and the
+/// snapshot's rigid-body state.
+template <class V>
+void Fields(V& v, RigidBodyState& s) {
+  v(s.pos, s.vel, s.att, s.omega, s.accel_world);
+}
+
 /// Rigid body with constant mass and diagonal-dominant inertia, integrated
 /// with semi-implicit (symplectic) Euler which is robustly stable for the
 /// step sizes used here (4 ms).
@@ -40,11 +47,11 @@ class RigidBody {
   /// torque [N m]. Gravity must be included in `force_world` by the caller.
   void Step(const math::Vec3& force_world, const math::Vec3& torque_body, double dt);
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(state_);
+  /// Snapshot field list (telemetry/binary_io.h codec, DESIGN.md §16): the
+  /// run-mutable state; configuration is reconstructed, not serialized.
+  template <class V>
+  friend void Fields(V& v, RigidBody& x) {
+    v(x.state_);
   }
 
  private:

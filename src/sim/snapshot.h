@@ -2,10 +2,11 @@
 //
 // A Snapshot is the complete state of one simulated vehicle plus its harness
 // bookkeeping at one control-step boundary, stored as opaque per-subsystem
-// byte sections (math/state_io.h produces the bytes; uav::SnapshotSectionId
-// assigns the ids). Restoring a snapshot into a freshly constructed vehicle
-// of the same spec resumes the run bit-identically to never having stopped —
-// the fork-vs-full-run identity tests pin that contract. The container knows
+// byte sections (each subsystem's field list on the telemetry/binary_io.h
+// codec produces the bytes; uav::SnapshotSectionId assigns the ids).
+// Restoring a snapshot into a freshly constructed vehicle of the same spec
+// resumes the run bit-identically to never having stopped — the
+// fork-vs-full-run identity tests pin that contract. The container knows
 // nothing about what the bytes mean, which keeps it in the sim layer;
 // telemetry/snapshot_codec.h gives it a versioned on-disk form (.uvsnap).
 #pragma once
@@ -18,12 +19,14 @@ namespace uavres::sim {
 
 /// Snapshot schema version (bumped whenever any section's member list or the
 /// metadata below changes shape; the codec refuses future versions).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Version 2: sections are per-field little-endian codec bytes; version 1
+/// copied whole structs in host byte order.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// One subsystem's opaque state blob.
 struct SnapshotSection {
   std::uint32_t id{0};
-  std::vector<std::uint8_t> bytes;
+  std::string bytes;
 };
 
 /// A complete checkpoint of one run at one step boundary.

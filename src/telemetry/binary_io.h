@@ -1,23 +1,22 @@
 // The one binary codec of every artifact this repository writes: .uvrs and
-// .uvfl store entries, .uvsnap checkpoints, .uvbs bus logs, UVRL flight
-// records and the serve wire payloads.
+// .uvfl store entries, .uvsnap checkpoints and the state sections inside
+// them, .uvbs bus logs, UVRL flight records and the serve wire payloads.
 //
 // A serialized type declares its layout once, as a field list found by
 // argument-dependent lookup:
 //
 //   template <class V> void Fields(V& v, Thing& x) { v(x.a, x.b, Capped{x.name, kMaxName}); }
 //
-// and the same list drives both directions: an Encoder appends the fields,
-// a Decoder assigns them back in the same order. The visitor style follows
-// math/state_io.h, but the bytes differ on purpose — state_io copies whole
-// structs in host order for snapshot sections, this codec writes each field.
+// (a hidden friend of the same shape reaches private members), and the same
+// list drives both directions: an Encoder appends the fields, a Decoder
+// assigns them back in the same order.
 //
 // Field rules: integers are little-endian at their own width, doubles are
 // their IEEE-754 bits as a u64, a bool is one byte that must read as 0 or 1;
-// math::Vec3 is x, y, z and math::Quat is w, x, y, z; std::array is its
-// elements; std::optional<T> is a bool, then T when present; enums, strings
-// and vectors go through the wrappers below; a callable is invoked with the
-// visitor, for lists with local state.
+// math::Vec3 is x, y, z and math::Quat is w, x, y, z; std::array and built-in
+// arrays are their elements; std::optional<T> is a bool, then T when
+// present; enums, strings and vectors go through the wrappers below; a
+// callable is invoked with the visitor, for lists with local state.
 //
 // The Decoder never reads past its input and never allocates for a count
 // whose elements cannot fit in the bytes left, so a corrupt or hostile count
@@ -46,6 +45,10 @@ constexpr std::uint32_t Magic(const char (&tag)[5]) {
 
 /// Footer word shared by .uvrs entries and .uvfl records.
 inline constexpr std::uint32_t kArtifactFooter = 0x5AFEC0DE;
+
+/// Length caps shared by string fields: a name or reason, and free text.
+inline constexpr std::uint32_t kMaxNameLen = 4096;
+inline constexpr std::uint32_t kMaxMessageLen = 65'536;
 
 // Field-list wrappers, built with braces: InRange{x, lo, hi}, Capped{c, max},
 // Elements{c, n}, Expect{x}.
@@ -128,7 +131,7 @@ class Codec {
       (*this)(x.x, x.y, x.z);
     } else if constexpr (std::is_same_v<U, math::Quat>) {
       (*this)(x.w, x.x, x.y, x.z);
-    } else if constexpr (codec_detail::IsArray<U>::value) {
+    } else if constexpr (codec_detail::IsArray<U>::value || std::is_array_v<U>) {
       for (auto& e : x) Field(e);
     } else if constexpr (codec_detail::IsOptional<U>::value) {
       bool present = x.has_value();

@@ -2,8 +2,11 @@
 // triggers, crash reports. Mirrors the role of PX4's ulog event stream.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
 
@@ -15,12 +18,17 @@ struct FlightEvent {
   double t{0.0};
   LogLevel level{LogLevel::kInfo};
   std::string message;
-
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(t, level, message);
-  }
 };
+
+/// Codec field list (telemetry/binary_io.h), in UVRL records and snapshots.
+template <class V>
+void Fields(V& v, FlightEvent& e) {
+  v(e.t, InRange{e.level, LogLevel::kInfo, LogLevel::kCritical},
+    Capped{e.message, kMaxMessageLen});
+}
+
+/// Largest event count a reader accepts.
+inline constexpr std::uint32_t kMaxEvents = 1'000'000;
 
 /// Append-only in-memory event log.
 class FlightLog {
@@ -58,11 +66,10 @@ class FlightLog {
     return false;
   }
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(events_);
+  /// Codec field list: the events, for snapshots (DESIGN.md §16).
+  template <class V>
+  friend void Fields(V& v, FlightLog& log) {
+    v(Capped{log.events_, kMaxEvents});
   }
 
  private:

@@ -5,18 +5,6 @@
 #include "telemetry/binary_io.h"
 
 namespace uavres::telemetry {
-namespace {
-
-constexpr std::uint32_t kMaxEvents = 1'000'000;
-constexpr std::uint32_t kMaxMessageLen = 65'536;
-
-}  // namespace
-
-template <class V>
-void Fields(V& v, FlightEvent& e) {
-  v(e.t, InRange{e.level, LogLevel::kInfo, LogLevel::kCritical},
-    Capped{e.message, kMaxMessageLen});
-}
 
 /// Both counts lead the record, ahead of the samples and events they size.
 template <class V>

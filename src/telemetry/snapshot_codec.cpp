@@ -17,7 +17,7 @@ template <class V>
 void Fields(V& v, Snapshot& s) {
   using namespace telemetry;
   v(Expect{Magic("UVSN")}, InRange{s.version, 1u, kSnapshotVersion}, s.seed, s.step_count,
-    s.time_s, s.mission_index, Capped{s.mission_name, kMaxSnapshotNameLen}, s.config_digest,
+    s.time_s, s.mission_index, Capped{s.mission_name, kMaxNameLen}, s.config_digest,
     s.seed_base, s.has_fault, s.fault_type, s.fault_target, s.fault_start_s,
     s.fault_duration_s, s.fault_magnitude, Capped{s.sections, kMaxSnapshotSections},
     Expect{std::uint32_t{0x5AFE5A9A}});

@@ -5,10 +5,11 @@
 // lists in snapshot_codec.cpp on the telemetry/binary_io.h codec.
 //
 // The section payloads are the opaque byte blobs sim::Snapshot carries
-// (math/state_io.h serialization of each subsystem); the codec frames them
-// but never interprets them. Readers reject bad magic, versions newer than
-// this build, implausible counts/lengths, any truncation and trailing bytes —
-// a corrupt or hostile file yields nullopt, never partial data or UB.
+// (each subsystem's field lists on this same codec, written by uav::Uav);
+// the container frames them but never interprets them. Readers reject bad
+// magic, versions newer than this build, implausible counts/lengths, any
+// truncation and trailing bytes — a corrupt or hostile file yields nullopt,
+// never partial data or UB.
 #pragma once
 
 #include <optional>
@@ -25,7 +26,6 @@ namespace uavres::telemetry {
 /// anything beyond these is a corrupt length field, not a real snapshot.
 inline constexpr std::uint32_t kMaxSnapshotSections = 1024;
 inline constexpr std::uint64_t kMaxSnapshotSectionBytes = 256ULL << 20;  // 256 MiB
-inline constexpr std::uint32_t kMaxSnapshotNameLen = 4096;
 
 void WriteSnapshot(std::ostream& os, const sim::Snapshot& snap);
 

@@ -65,19 +65,13 @@ class Trajectory {
   /// Returns +inf for an empty trajectory.
   double DistanceToTruePath(const math::Vec3& p) const;
 
-  /// Snapshot seam (math/state_io.h, DESIGN.md §16): visits the run-mutable
-  /// state; configuration is reconstructed, not serialized.
-  template <class Visitor>
-  void VisitState(Visitor&& v) {
-    v(samples_);
-  }
-
  private:
   std::vector<TrajectorySample> samples_;
 };
 
 /// Codec field list (telemetry/binary_io.h): u32 sample count, then the
-/// samples — the trajectory of a .uvrs store entry.
+/// samples — the trajectory of a .uvrs store entry and of the snapshot's
+/// harness section.
 template <class V>
 void Fields(V& v, Trajectory& t) {
   v(Capped{t.Samples(), kMaxTrajectorySamples});

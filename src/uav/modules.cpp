@@ -326,84 +326,6 @@ void FaultInterceptorStage::ApplyMag(void* ctx, sensors::MagSample& sample, doub
   sample = static_cast<core::MagFaultInjector*>(ctx)->Apply(sample, t);
 }
 
-// --- Checkpoint seams (DESIGN.md §16) ---
-//
-// Each module hands the state writer/reader exactly the members that evolve
-// during a run; nested domain objects recurse through their own VisitState.
-// Bus pointers, configs and schedule wiring are reconstructed by the normal
-// constructor path — restore always targets a freshly built vehicle.
-
-void ImuModule::SaveState(math::StateWriter& w) { w(imu_); }
-void ImuModule::RestoreState(math::StateReader& r) { r(imu_); }
-
-void GpsModule::SaveState(math::StateWriter& w) { w(gps_); }
-void GpsModule::RestoreState(math::StateReader& r) { r(gps_); }
-
-void BaroModule::SaveState(math::StateWriter& w) { w(baro_); }
-void BaroModule::RestoreState(math::StateReader& r) { r(baro_); }
-
-void MagModule::SaveState(math::StateWriter& w) { w(mag_); }
-void MagModule::RestoreState(math::StateReader& r) { r(mag_); }
-
-void EstimatorModule::SaveState(math::StateWriter& w) {
-  w(ekf_, comp_, gps_gen_, baro_gen_, mag_gen_, mag_seen_, last_mag_t_);
-}
-void EstimatorModule::RestoreState(math::StateReader& r) {
-  r(ekf_, comp_, gps_gen_, baro_gen_, mag_gen_, mag_seen_, last_mag_t_);
-}
-
-void HealthModule::SaveState(math::StateWriter& w) { w(monitor_, recovered_logged_); }
-void HealthModule::RestoreState(math::StateReader& r) { r(monitor_, recovered_logged_); }
-
-void CommanderModule::SaveState(math::StateWriter& w) { w(commander_, battery_warned_); }
-void CommanderModule::RestoreState(math::StateReader& r) { r(commander_, battery_warned_); }
-
-void ControlCascadeModule::SaveState(math::StateWriter& w) { w(pos_ctrl_, rate_ctrl_); }
-void ControlCascadeModule::RestoreState(math::StateReader& r) { r(pos_ctrl_, rate_ctrl_); }
-
-void PhysicsModule::SaveState(math::StateWriter& w) {
-  w(env_, quad_, crash_, home_, airborne_seen_);
-}
-void PhysicsModule::RestoreState(math::StateReader& r) {
-  r(env_, quad_, crash_, home_, airborne_seen_);
-}
-
-void BatteryModule::SaveState(math::StateWriter& w) { w(battery_); }
-void BatteryModule::RestoreState(math::StateReader& r) { r(battery_); }
-
-void FaultInterceptorStage::SaveState(math::StateWriter& w) {
-  std::uint32_t n = static_cast<std::uint32_t>(imu_slots_.size());
-  w(n);
-  for (auto& slot : imu_slots_) w(slot.injector, slot.logged);
-  const auto save_optional = [&w](auto& opt) {
-    std::uint8_t present = opt.has_value() ? 1 : 0;
-    w(present);
-    if (opt) w(*opt);
-  };
-  save_optional(gps_injector_);
-  save_optional(baro_injector_);
-  save_optional(mag_injector_);
-}
-
-bool FaultInterceptorStage::RestoreState(math::StateReader& r) {
-  std::uint32_t n = 0;
-  r(n);
-  if (n != imu_slots_.size()) return false;
-  for (auto& slot : imu_slots_) r(slot.injector, slot.logged);
-  const auto restore_optional = [&r](auto& opt) {
-    std::uint8_t present = 0;
-    r(present);
-    if ((present != 0) != opt.has_value()) return false;
-    if (opt) r(*opt);
-    return true;
-  };
-  return restore_optional(gps_injector_) && restore_optional(baro_injector_) &&
-         restore_optional(mag_injector_);
-}
-
-void DetectorStage::SaveState(math::StateWriter& w) { w(detector_, confirm_logged_); }
-void DetectorStage::RestoreState(math::StateReader& r) { r(detector_, confirm_logged_); }
-
 // --- DetectorStage ---
 
 DetectorStage::DetectorStage(const estimation::DetectorConfig& cfg, double control_rate_hz,

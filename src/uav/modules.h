@@ -23,11 +23,11 @@
 
 #include "bus/schedule.h"
 #include "bus/topics.h"
-#include "math/state_io.h"
 #include "estimation/complementary_filter.h"
 #include "estimation/detectors.h"
 #include "estimation/ekf.h"
 #include "nav/mission.h"
+#include "telemetry/binary_io.h"
 #include "telemetry/flight_log.h"
 #include "uav/uav_config.h"
 
@@ -41,10 +41,9 @@ class ImuModule final : public bus::Module {
             std::uint64_t seed, bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, ImuModule& x) { v(x.imu_); }
 
  private:
   sensors::RedundantImu imu_;
@@ -57,10 +56,9 @@ class GpsModule final : public bus::Module {
   GpsModule(const sensors::GpsConfig& cfg, std::uint64_t seed, bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, GpsModule& x) { v(x.gps_); }
 
  private:
   sensors::Gps gps_;
@@ -75,10 +73,9 @@ class BaroModule final : public bus::Module {
              bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, BaroModule& x) { v(x.baro_); }
 
  private:
   sensors::Barometer baro_;
@@ -92,10 +89,9 @@ class MagModule final : public bus::Module {
   MagModule(const sensors::MagConfig& cfg, std::uint64_t seed, bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, MagModule& x) { v(x.mag_); }
 
  private:
   sensors::Magnetometer mag_;
@@ -127,10 +123,11 @@ class EstimatorModule final : public bus::Module {
 
   const estimation::Ekf& ekf() const { return ekf_; }
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, EstimatorModule& x) {
+    v(x.ekf_, x.comp_, x.gps_gen_, x.baro_gen_, x.mag_gen_, x.mag_seen_, x.last_mag_t_);
+  }
 
  private:
   estimation::Ekf ekf_;
@@ -155,10 +152,9 @@ class HealthModule final : public bus::Module {
 
   const nav::HealthMonitor& monitor() const { return monitor_; }
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, HealthModule& x) { v(x.monitor_, x.recovered_logged_); }
 
  private:
   nav::HealthMonitor monitor_;
@@ -177,10 +173,9 @@ class CommanderModule final : public bus::Module {
 
   const nav::Commander& commander() const { return commander_; }
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, CommanderModule& x) { v(x.commander_, x.battery_warned_); }
 
  private:
   nav::Commander commander_;
@@ -199,10 +194,9 @@ class ControlCascadeModule final : public bus::Module {
                        const control::MixerConfig& mixer_cfg, bus::FlightBus* bus);
   void Step(const bus::StepInfo& info) override;
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, ControlCascadeModule& x) { v(x.pos_ctrl_, x.rate_ctrl_); }
 
  private:
   control::PositionController pos_ctrl_;
@@ -228,10 +222,11 @@ class PhysicsModule final : public bus::Module {
   const nav::CrashDetector& crash_detector() const { return crash_; }
   bool airborne_seen() const { return airborne_seen_; }
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, PhysicsModule& x) {
+    v(x.env_, *x.quad_, x.crash_, x.home_, x.airborne_seen_);
+  }
 
  private:
   void PublishTruth(double t);
@@ -260,10 +255,9 @@ class BatteryModule final : public bus::Module {
 
   const sim::Battery& battery() const { return battery_; }
 
-  /// Checkpoint seam (DESIGN.md §16): serialize / overwrite the module's
-  /// run-mutable state (math/state_io.h byte streams).
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list (DESIGN.md §16): the module's run-mutable state.
+  template <class V>
+  friend void Fields(V& v, BatteryModule& x) { v(x.battery_); }
 
  private:
   sim::Battery battery_;
@@ -282,13 +276,23 @@ class FaultInterceptorStage {
   /// True while any IMU fault window is open (the façade's fault_active()).
   bool AnyImuActiveAt(double t) const;
 
-  /// Checkpoint seam: injector RNG streams, frozen samples and the per-window
-  /// logged flags — never the fault specs themselves, so a fork restored into
-  /// a vehicle built with a *modified* spec (bisection probes) keeps the
-  /// donor's streams. Restore fails on a structural mismatch (different
-  /// window count or optional-injector wiring).
-  void SaveState(math::StateWriter& w);
-  bool RestoreState(math::StateReader& r);
+  /// Snapshot field list: injector RNG streams, frozen samples and the
+  /// per-window logged flags — never the fault specs themselves, so a fork
+  /// restored into a vehicle built with a *modified* spec (bisection probes)
+  /// keeps the donor's streams. The window count and the optional-injector
+  /// wiring are Expect fields, so a structural mismatch fails the read.
+  template <class V>
+  friend void Fields(V& v, FaultInterceptorStage& x) {
+    v(telemetry::Expect{static_cast<std::uint32_t>(x.imu_slots_.size())});
+    for (auto& slot : x.imu_slots_) v(slot.injector, slot.logged);
+    const auto optional = [&v](auto& injector) {
+      v(telemetry::Expect{injector.has_value()});
+      if (injector) v(*injector);
+    };
+    optional(x.gps_injector_);
+    optional(x.baro_injector_);
+    optional(x.mag_injector_);
+  }
 
  private:
   struct ImuSlot {
@@ -327,9 +331,9 @@ class DetectorStage {
   bool enabled() const { return enabled_; }
   const estimation::ImuFaultDetector& detector() const { return detector_; }
 
-  /// Checkpoint seam: detector state machine + the confirm-log latch.
-  void SaveState(math::StateWriter& w);
-  void RestoreState(math::StateReader& r);
+  /// Snapshot field list: detector state machine + the confirm-log latch.
+  template <class V>
+  friend void Fields(V& v, DetectorStage& x) { v(x.detector_, x.confirm_logged_); }
 
  private:
   static void ObserveImu(void* ctx, bus::ImuSignal& sig, double t);

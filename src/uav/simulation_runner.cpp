@@ -122,19 +122,15 @@ class StepBookkeeper {
   double max_time() const { return max_time_; }
   bool ended() const { return ended_; }
 
-  /// Serialize the run-mutable bookkeeping into the snapshot's harness
-  /// section (wall_start_ is profiling-only and deliberately excluded; the
-  /// config-derived members are rebuilt by the constructor).
-  void SaveState(sim::Snapshot& snap) {
-    math::StateWriter w(&snap.Add(kHarnessSection).bytes);
-    VisitHarnessState(w);
-  }
-  bool RestoreState(const sim::Snapshot& snap) {
-    const sim::SnapshotSection* s = snap.Find(kHarnessSection);
-    if (s == nullptr) return false;
-    math::StateReader r(s->bytes);
-    VisitHarnessState(r);
-    return r.ok() && r.fully_consumed();
+  /// Field list of the snapshot's harness section: the run-mutable
+  /// bookkeeping (wall_start_ is profiling-only and deliberately excluded;
+  /// the config-derived members are rebuilt by the constructor).
+  template <class V>
+  friend void Fields(V& v, StepBookkeeper& x) {
+    v(x.next_record_, x.next_track_, x.last_check_t_, x.last_est_pos_, x.distance_est_,
+      x.end_time_,
+      telemetry::InRange{x.outcome_, MissionOutcome::kCompleted, MissionOutcome::kTimeout},
+      x.steps_, x.anomaly_at_onset_, x.ended_, x.bubbles_, x.checker_, x.out_.trajectory);
   }
 
   // Runs after each Step() at post-step time `t`.
@@ -295,16 +291,6 @@ class StepBookkeeper {
   }
 
  private:
-  static constexpr std::uint32_t kHarnessSection =
-      static_cast<std::uint32_t>(SnapshotSectionId::kHarness);
-
-  template <class Visitor>
-  void VisitHarnessState(Visitor&& v) {
-    v(next_record_, next_track_, last_check_t_, last_est_pos_, distance_est_,
-      end_time_, outcome_, steps_, anomaly_at_onset_, ended_, bubbles_, checker_,
-      out_.trajectory);
-  }
-
   static core::BubbleParams MakeBubbleParams(const RunConfig& cfg,
                                              const ExperimentSpec& espec) {
     core::BubbleParams p = espec.drone.MakeBubbleParams();
@@ -370,6 +356,55 @@ void FillSnapshotMeta(const RunConfig& cfg, const ExperimentSpec& espec, const U
   snap.sections.clear();
 }
 
+/// The optional ends of one run: the snapshot a fork resumes from, a
+/// simulated-time deadline, and the snapshot a checkpointing run captures.
+struct RunPlan {
+  std::uint64_t seed{0};               ///< the vehicle's RNG seed
+  const sim::Snapshot* from{nullptr};  ///< resume point, or none
+  double deadline_s{-1.0};             ///< > 0 caps simulated time
+  sim::Snapshot* capture{nullptr};     ///< capture target, or none
+  double t_snap{0.0};                  ///< capture time (see CaptureStep)
+  bool stop_at_capture{false};         ///< end the run at the capture
+};
+
+/// The one run loop behind RunInto, the checkpointing runs and forks: a
+/// from-scratch run is a checkpointing run with no capture, and a fork is the
+/// same loop entered after a restore. Returns false when the restore fails
+/// or a requested capture never happens (the run ended first).
+bool Fly(const RunConfig& cfg, const ExperimentSpec& espec, const RunPlan& plan,
+         RunOutput& out) {
+  UavConfig uav_cfg = MakeUavConfig(espec.drone);
+  if (cfg.uav_config_mutator) cfg.uav_config_mutator(uav_cfg);
+  if (cfg.recovery) uav_cfg.detector.enabled = true;
+  StepBookkeeper bk(cfg, espec, uav_cfg, out);
+  if (bk.checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
+  Uav uav(uav_cfg, espec.drone.plan, espec.fault, plan.seed);
+  if (plan.from != nullptr && !(uav.RestoreState(*plan.from) &&
+                                RestoreSection(*plan.from, SnapshotSectionId::kHarness, bk))) {
+    return false;
+  }
+
+  const double deadline =
+      plan.deadline_s > 0.0 ? std::min(plan.deadline_s, bk.max_time()) : bk.max_time();
+  const std::int64_t capture_step =
+      plan.capture != nullptr ? CaptureStep(plan.t_snap, uav.dt()) : -1;
+  while (!bk.ended() && uav.time() < deadline) {
+    uav.Step();
+    bk.AfterStep(uav.time(), uav);
+    if (uav.step_count() == capture_step) {
+      // Capture after this step's bookkeeping so the restored harness resumes
+      // mid-run exactly where the donor's left off (even if the run also
+      // terminated on this very step — the fork then finalizes immediately).
+      FillSnapshotMeta(cfg, espec, uav, *plan.capture);
+      uav.SaveState(*plan.capture);
+      SaveSection(*plan.capture, SnapshotSectionId::kHarness, bk);
+      if (plan.stop_at_capture) return true;
+    }
+  }
+  bk.Finish(uav);
+  return uav.step_count() >= capture_step;  // the capture step was reached
+}
+
 }  // namespace
 
 std::uint64_t SnapshotConfigDigest(const RunConfig& run, const ExperimentSpec& spec) {
@@ -401,62 +436,22 @@ RunOutput SimulationRunner::Run(const ExperimentSpec& espec) const {
 
 void SimulationRunner::RunInto(const ExperimentSpec& espec, RunOutput& out) const {
   UAVRES_TRACE_SCOPE("sim/run");
-  UavConfig uav_cfg = MakeUavConfig(espec.drone);
-  if (cfg_.uav_config_mutator) cfg_.uav_config_mutator(uav_cfg);
-  if (cfg_.recovery) uav_cfg.detector.enabled = true;
-  StepBookkeeper bk(cfg_, espec, uav_cfg, out);
-  if (bk.checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
-  Uav uav(uav_cfg, espec.drone.plan, espec.fault, espec.Seed());
-
-  while (uav.time() < bk.max_time()) {
-    uav.Step();
-    bk.AfterStep(uav.time(), uav);
-    if (bk.ended()) break;
-  }
-  bk.Finish(uav);
-}
-
-bool SimulationRunner::RunCheckpointedImpl(const ExperimentSpec& espec, double t_snap,
-                                           sim::Snapshot& snap, RunOutput& out,
-                                           bool stop_at_capture) const {
-  UAVRES_TRACE_SCOPE("sim/run_checkpoint");
-  UavConfig uav_cfg = MakeUavConfig(espec.drone);
-  if (cfg_.uav_config_mutator) cfg_.uav_config_mutator(uav_cfg);
-  if (cfg_.recovery) uav_cfg.detector.enabled = true;
-  StepBookkeeper bk(cfg_, espec, uav_cfg, out);
-  if (bk.checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
-  Uav uav(uav_cfg, espec.drone.plan, espec.fault, espec.Seed());
-
-  const std::int64_t capture_step = CaptureStep(t_snap, uav.dt());
-  bool captured = false;
-  while (uav.time() < bk.max_time()) {
-    uav.Step();
-    bk.AfterStep(uav.time(), uav);
-    if (!captured && uav.step_count() == capture_step) {
-      // Capture after this step's bookkeeping so the restored harness resumes
-      // mid-run exactly where the donor's left off (even if the run also
-      // terminated on this very step — the fork then finalizes immediately).
-      FillSnapshotMeta(cfg_, espec, uav, snap);
-      uav.SaveState(snap);
-      bk.SaveState(snap);
-      captured = true;
-      if (stop_at_capture) return true;
-    }
-    if (bk.ended()) break;
-  }
-  bk.Finish(uav);
-  return captured;
+  Fly(cfg_, espec, {.seed = espec.Seed()}, out);
 }
 
 bool SimulationRunner::CaptureSnapshot(const ExperimentSpec& spec, double t_snap,
                                        sim::Snapshot& snap) const {
+  UAVRES_TRACE_SCOPE("sim/run_checkpoint");
   RunOutput scratch;  // discarded: the run stops at the capture point
-  return RunCheckpointedImpl(spec, t_snap, snap, scratch, /*stop_at_capture=*/true);
+  return Fly(cfg_, spec,
+             {.seed = spec.Seed(), .capture = &snap, .t_snap = t_snap, .stop_at_capture = true},
+             scratch);
 }
 
 bool SimulationRunner::RunWithCheckpoint(const ExperimentSpec& spec, double t_snap,
                                          sim::Snapshot& snap, RunOutput& out) const {
-  return RunCheckpointedImpl(spec, t_snap, snap, out, /*stop_at_capture=*/false);
+  UAVRES_TRACE_SCOPE("sim/run_checkpoint");
+  return Fly(cfg_, spec, {.seed = spec.Seed(), .capture = &snap, .t_snap = t_snap}, out);
 }
 
 bool SimulationRunner::RunFromSnapshot(const ExperimentSpec& espec,
@@ -465,28 +460,12 @@ bool SimulationRunner::RunFromSnapshot(const ExperimentSpec& espec,
   UAVRES_TRACE_SCOPE("sim/run_fork");
   if (snap.version != sim::kSnapshotVersion) return false;
   if (snap.config_digest != SnapshotConfigDigest(cfg_, espec)) return false;
-  UavConfig uav_cfg = MakeUavConfig(espec.drone);
-  if (cfg_.uav_config_mutator) cfg_.uav_config_mutator(uav_cfg);
-  if (cfg_.recovery) uav_cfg.detector.enabled = true;
-  StepBookkeeper bk(cfg_, espec, uav_cfg, out);
-  if (bk.checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
   // The vehicle re-derives its RNG streams from the donor's stored seed: a
   // magnitude fork is seed-identical by construction (ExperimentSeed ignores
   // magnitude); a duration fork keeps the donor's sensor/fault noise streams
   // — a controlled experiment along the duration axis, not a replay of what
   // a from-scratch run of the modified spec (different derived seed) does.
-  Uav uav(uav_cfg, espec.drone.plan, espec.fault, snap.seed);
-  if (!uav.RestoreState(snap)) return false;
-  if (!bk.RestoreState(snap)) return false;
-
-  const double deadline =
-      deadline_s > 0.0 ? std::min(deadline_s, bk.max_time()) : bk.max_time();
-  while (!bk.ended() && uav.time() < deadline) {
-    uav.Step();
-    bk.AfterStep(uav.time(), uav);
-  }
-  bk.Finish(uav);
-  return true;
+  return Fly(cfg_, espec, {.seed = snap.seed, .from = &snap, .deadline_s = deadline_s}, out);
 }
 
 }  // namespace uavres::uav

@@ -144,10 +144,6 @@ class SimulationRunner {
                        RunOutput& out, double deadline_s = -1.0) const;
 
  private:
-  bool RunCheckpointedImpl(const ExperimentSpec& spec, double t_snap,
-                           sim::Snapshot& snap, RunOutput& out,
-                           bool stop_at_capture) const;
-
   RunConfig cfg_;
 };
 

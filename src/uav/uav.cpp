@@ -63,81 +63,34 @@ void Uav::Step() {
   ++step_count_;
 }
 
+template <class Fn>
+bool Uav::Sections(Fn&& section) {
+  using enum SnapshotSectionId;
+  const auto core = [this](auto& v) { v(time_, step_count_, log_); };
+  return section(kVehicleCore, core) && section(kBus, bus_) && section(kImu, imu_mod_) &&
+         section(kGps, gps_mod_) && section(kBaro, baro_mod_) && section(kMag, mag_mod_) &&
+         section(kEstimator, estimator_) && section(kHealth, health_mod_) &&
+         section(kCommander, commander_mod_) && section(kControl, control_mod_) &&
+         section(kPhysics, physics_) && section(kBattery, battery_mod_) &&
+         section(kFaults, faults_) && (!detectors_.enabled() || section(kDetector, detectors_));
+}
+
 void Uav::SaveState(sim::Snapshot& snap) {
-  const auto section = [&snap](SnapshotSectionId id) {
-    return math::StateWriter(&snap.Add(static_cast<std::uint32_t>(id)).bytes);
-  };
-  {
-    auto w = section(SnapshotSectionId::kVehicleCore);
-    w(time_, step_count_, log_);
-  }
-  {
-    auto w = section(SnapshotSectionId::kBus);
-    bus_.VisitState(w);
-  }
-  { auto w = section(SnapshotSectionId::kImu); imu_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kGps); gps_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kBaro); baro_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kMag); mag_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kEstimator); estimator_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kHealth); health_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kCommander); commander_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kControl); control_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kPhysics); physics_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kBattery); battery_mod_.SaveState(w); }
-  { auto w = section(SnapshotSectionId::kFaults); faults_.SaveState(w); }
-  if (detectors_.enabled()) {
-    auto w = section(SnapshotSectionId::kDetector);
-    detectors_.SaveState(w);
-  }
+  Sections([&snap](SnapshotSectionId id, const auto& fields) {
+    SaveSection(snap, id, fields);
+    return true;
+  });
 }
 
 bool Uav::RestoreState(const sim::Snapshot& snap) {
-  // Every restore goes through this gate: the section must exist, parse
-  // without underrun, and be consumed to the last byte.
-  const auto restore = [&snap](SnapshotSectionId id, auto&& fn) {
-    const sim::SnapshotSection* s = snap.Find(static_cast<std::uint32_t>(id));
-    if (s == nullptr) return false;
-    math::StateReader r(s->bytes);
-    if (!fn(r)) return false;
-    return r.ok() && r.fully_consumed();
-  };
-  const auto module = [&restore](SnapshotSectionId id, auto& mod) {
-    return restore(id, [&mod](math::StateReader& r) {
-      mod.RestoreState(r);
-      return true;
-    });
-  };
-  bool ok = restore(SnapshotSectionId::kVehicleCore, [this](math::StateReader& r) {
-    r(time_, step_count_, log_);
-    return true;
-  });
-  ok = ok && restore(SnapshotSectionId::kBus, [this](math::StateReader& r) {
-    bus_.VisitState(r);
-    return true;
-  });
-  ok = ok && module(SnapshotSectionId::kImu, imu_mod_);
-  ok = ok && module(SnapshotSectionId::kGps, gps_mod_);
-  ok = ok && module(SnapshotSectionId::kBaro, baro_mod_);
-  ok = ok && module(SnapshotSectionId::kMag, mag_mod_);
-  ok = ok && module(SnapshotSectionId::kEstimator, estimator_);
-  ok = ok && module(SnapshotSectionId::kHealth, health_mod_);
-  ok = ok && module(SnapshotSectionId::kCommander, commander_mod_);
-  ok = ok && module(SnapshotSectionId::kControl, control_mod_);
-  ok = ok && module(SnapshotSectionId::kPhysics, physics_);
-  ok = ok && module(SnapshotSectionId::kBattery, battery_mod_);
-  ok = ok && restore(SnapshotSectionId::kFaults, [this](math::StateReader& r) {
-    return faults_.RestoreState(r);
-  });
   // Detector presence must match: a snapshot from a detector-enabled run
   // cannot resume on a detector-less vehicle (and vice versa).
   const bool has_detector =
       snap.Find(static_cast<std::uint32_t>(SnapshotSectionId::kDetector)) != nullptr;
   if (has_detector != detectors_.enabled()) return false;
-  if (detectors_.enabled()) {
-    ok = ok && module(SnapshotSectionId::kDetector, detectors_);
-  }
-  return ok;
+  return Sections([&snap](SnapshotSectionId id, auto& fields) {
+    return RestoreSection(snap, id, fields);
+  });
 }
 
 }  // namespace uavres::uav

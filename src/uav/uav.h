@@ -18,6 +18,7 @@
 #include "bus/topics.h"
 #include "nav/mission.h"
 #include "sim/snapshot.h"
+#include "telemetry/binary_io.h"
 #include "telemetry/flight_log.h"
 #include "uav/modules.h"
 #include "uav/uav_config.h"
@@ -47,6 +48,21 @@ enum class SnapshotSectionId : std::uint32_t {
   kHarness = 32,  ///< StepBookkeeper (simulation_runner.cpp), not written here
 };
 
+/// Appends section `id` to `snap`: `fields` (a type with a codec field list,
+/// or a callable list) encoded on the telemetry/binary_io.h codec.
+template <class T>
+void SaveSection(sim::Snapshot& snap, SnapshotSectionId id, const T& fields) {
+  snap.Add(static_cast<std::uint32_t>(id)).bytes = telemetry::Encode(fields);
+}
+
+/// Decodes section `id` of `snap` into `fields`; false when the section is
+/// missing, corrupt, or not consumed to its last byte.
+template <class T>
+bool RestoreSection(const sim::Snapshot& snap, SnapshotSectionId id, T&& fields) {
+  const sim::SnapshotSection* s = snap.Find(static_cast<std::uint32_t>(id));
+  return s != nullptr && telemetry::Decode(s->bytes, fields);
+}
+
 /// One simulated vehicle flying one mission, optionally under fault injection.
 class Uav {
  public:
@@ -75,7 +91,8 @@ class Uav {
 
   /// Restore from a snapshot taken by SaveState on a structurally identical
   /// vehicle. Returns false (vehicle state undefined — discard it) on any
-  /// missing/truncated/over-long section or detector-presence mismatch.
+  /// missing, truncated, over-long or corrupt section (a bool byte above 1,
+  /// an enum out of range) or a detector-presence mismatch.
   bool RestoreState(const sim::Snapshot& snap);
 
   const sim::Quadrotor& quad() const { return physics_.quad(); }
@@ -110,6 +127,12 @@ class Uav {
   std::uint64_t recorded_frames() const { return tap_ ? tap_->frames_written() : 0; }
 
  private:
+  /// The one section list SaveState and RestoreState walk: `section(id,
+  /// fields)` per stateful subsystem, in schedule order, stopping at the
+  /// first false.
+  template <class Fn>
+  bool Sections(Fn&& section);
+
   UavConfig cfg_;
   double dt_;
   double time_;

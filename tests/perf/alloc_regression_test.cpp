@@ -180,7 +180,7 @@ std::vector<CountField> CountFields() {
       {"uvfl_entry", Le32(8) + "convoy-8", 0, 4, telemetry::kMaxFleetNameLen},
       {"uvfl_entry", Le32(2) + Le32(7) + Le32(8) + LeF64(40.5), 0, 4,
        telemetry::kMaxFleetEvents},
-      {"uvsnap", Le32(6) + "VLC-05", 0, 4, telemetry::kMaxSnapshotNameLen},
+      {"uvsnap", Le32(6) + "VLC-05", 0, 4, telemetry::kMaxNameLen},
       {"uvsnap", Le32(2) + Le32(3) + codec_fixtures::Le64(5), 0, 4,
        telemetry::kMaxSnapshotSections},
       {"uvsnap", Le32(3) + codec_fixtures::Le64(5), 4, 8, telemetry::kMaxSnapshotSectionBytes},

@@ -7,12 +7,17 @@
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
 //   * byte-identity — a served result equals the offline library run,
-//   * connection reaping — clients that come and go leave no fds behind.
+//   * connection reaping — clients that come and go leave no fds behind,
+//   * accept backoff — out of descriptors, the accept loop sleeps instead of
+//     spinning on the connection waiting in its backlog.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cerrno>
 #include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <iterator>
 #include <set>
@@ -326,6 +331,52 @@ TEST(ServeServer, ReapsDisconnectedClients) {
     open = OpenFds();
   }
   EXPECT_LE(open, before + 4);
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+TEST(ServeServer, AcceptBacksOffWhenOutOfDescriptors) {
+  TestServer server(ServerConfig{});
+  const int pending = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(pending, 0);
+
+  // Leave this process a few descriptors above what it holds, then take them.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(OpenFds() + 4);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> hogs;
+  for (int fd = ::dup(pending); fd >= 0; fd = ::dup(pending)) hogs.push_back(fd);
+  EXPECT_EQ(errno, EMFILE);
+
+  // The handshake completes into the listen backlog; every accept of it
+  // now fails with EMFILE.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int connected = ::connect(pending, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  const double cpu0 = ProcessCpuSeconds();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_s = ProcessCpuSeconds() - cpu0;
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+
+  for (const int fd : hogs) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::close(pending);
+  ASSERT_EQ(connected, 0);
+  EXPECT_LT(cpu_s, wall_s / 3) << "accept loop spun at the descriptor limit";
+
+  Client client(ClientOpts(server.port(), "after-emfile"));
+  std::string err;
+  EXPECT_TRUE(client.Connect(&err)) << err;
 }
 
 }  // namespace

@@ -159,8 +159,8 @@ inline sim::Snapshot Snapshot() {
   snap.fault_start_s = 90.0;
   snap.fault_duration_s = 10.0;
   snap.fault_magnitude = 0.78125;
-  snap.Add(3).bytes = {0x00, 0x01, 0x02, 0x03, 0xFF};
-  snap.Add(14).bytes = {0x10, 0x20, 0x30};
+  snap.Add(3).bytes = std::string("\x00\x01\x02\x03\xFF", 5);
+  snap.Add(14).bytes = "\x10\x20\x30";
   return snap;
 }
 

@@ -33,11 +33,11 @@ sim::Snapshot MakeSample() {
   snap.fault_duration_s = 10.0;
   snap.fault_magnitude = 0.78125;
   auto& a = snap.Add(1);
-  a.bytes = {0x00, 0x01, 0x02, 0x03, 0xFF};
+  a.bytes = std::string("\x00\x01\x02\x03\xFF", 5);
   auto& b = snap.Add(14);
   b.bytes = {};  // empty sections are legal
   auto& c = snap.Add(32);
-  for (int i = 0; i < 257; ++i) c.bytes.push_back(static_cast<std::uint8_t>(i));
+  for (int i = 0; i < 257; ++i) c.bytes.push_back(static_cast<char>(i));
   return snap;
 }
 
