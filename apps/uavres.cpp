@@ -26,6 +26,7 @@
 // binds its name, synopsis, help text, and handler, and both the dispatch
 // and the generated `uavres help [command]` output derive from that single
 // table — adding a command is adding a row.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,30 +57,31 @@ namespace {
 
 using namespace uavres;
 
+/// A command-line value no parser accepts. Dispatch prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 core::FaultTarget ParseTarget(const std::string& s) {
-  if (s == "acc") return core::FaultTarget::kAccelerometer;
-  if (s == "gyro") return core::FaultTarget::kGyrometer;
-  return core::FaultTarget::kImu;
+  if (const auto target = core::ParseFaultTarget(s)) return *target;
+  throw UsageError("unknown fault target '" + s + "'");
 }
 
 core::FaultType ParseType(const std::string& s) {
-  using core::FaultType;
-  if (s == "fixed") return FaultType::kFixed;
-  if (s == "zeros") return FaultType::kZeros;
-  if (s == "freeze") return FaultType::kFreeze;
-  if (s == "random") return FaultType::kRandom;
-  if (s == "min") return FaultType::kMin;
-  if (s == "max") return FaultType::kMax;
-  if (s == "scale") return FaultType::kScale;
-  if (s == "stuck-axis") return FaultType::kStuckAxis;
-  if (s == "intermittent") return FaultType::kIntermittent;
-  if (s == "drift") return FaultType::kDrift;
-  return FaultType::kNoise;
+  if (const auto type = core::ParseFaultType(s)) return *type;
+  throw UsageError("unknown fault type '" + s + "'");
 }
 
 int MissionIndex(const app::CommandLine& cl, std::size_t pos) {
-  const int m = std::atoi(cl.Positional(pos, "0").c_str());
-  return (m >= 0 && m < 10) ? m : 0;
+  const std::string s = cl.Positional(pos, "0");
+  const int count = static_cast<int>(core::SharedValenciaScenario().size());
+  int m = -1;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), m);
+  if (ec != std::errc{} || end != s.data() + s.size() || m < 0 || m >= count) {
+    throw UsageError("unknown mission index '" + s + "', expected 0-" +
+                     std::to_string(count - 1));
+  }
+  return m;
 }
 
 void PrintResult(const core::MissionResult& r) {
@@ -873,7 +875,7 @@ const Command kCommands[] = {
      "       [--oracle] [--no-baseline] [--cache-dir DIR] [--no-cache]",
      "fleet-scale airspace experiment",
      "Runs N drones, one vehicle each, stepped per tracking interval on the\n"
-     "work-stealing scheduler with a uniform-grid conflict broadphase, and\n"
+     "shared-cursor scheduler with a uniform-grid conflict broadphase, and\n"
      "reports systemic impact vs the fault-free baseline: conflict/alert\n"
      "counts, cascade size, min-separation distribution and airspace\n"
      "throughput. --relaunch-horizon S keeps the airspace full by relaunching\n"
@@ -965,7 +967,15 @@ int Dispatch(const uavres::app::CommandLine& cl) {
   if (cl.command == "help" || cl.command == "--help" || cl.command == "-h") {
     return CmdHelp(cl);
   }
-  if (const Command* c = FindCommand(cl.command)) return c->run(cl);
+  if (const Command* c = FindCommand(cl.command)) {
+    try {
+      return c->run(cl);
+    } catch (const UsageError& e) {
+      std::fprintf(stderr, "uavres %s: %s (see `uavres help %s`)\n", c->name, e.what(),
+                   c->name);
+      return 2;
+    }
+  }
   if (!cl.command.empty()) {
     std::fprintf(stderr, "uavres: unknown command '%s'\n\n", cl.command.c_str());
   }

@@ -5,7 +5,7 @@
 // tools/compare_bench.py:
 //
 //   1. Campaign throughput — wall time and runs/sec of the (optionally
-//      mission-limited) fault grid through the work-stealing scheduler,
+//      mission-limited) fault grid through the shared-cursor scheduler,
 //      caching disabled so every run is computed ("campaign").
 //   2. Step latency — per-step wall latency of one gold flight stepping the
 //      Uav directly (p50/p99/mean in microseconds), plus a detector-enabled

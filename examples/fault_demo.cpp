@@ -4,6 +4,7 @@
 //
 //   ./fault_demo [mission 0-9] [target acc|gyro|imu]
 //                [type fixed|zeros|freeze|random|min|max|noise] [duration_s]
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -11,42 +12,30 @@
 #include "core/scenario.h"
 #include "uav/simulation_runner.h"
 
-namespace {
-
-uavres::core::FaultTarget ParseTarget(const std::string& s) {
-  using uavres::core::FaultTarget;
-  if (s == "acc") return FaultTarget::kAccelerometer;
-  if (s == "gyro") return FaultTarget::kGyrometer;
-  return FaultTarget::kImu;
-}
-
-uavres::core::FaultType ParseType(const std::string& s) {
-  using uavres::core::FaultType;
-  if (s == "fixed") return FaultType::kFixed;
-  if (s == "zeros") return FaultType::kZeros;
-  if (s == "freeze") return FaultType::kFreeze;
-  if (s == "random") return FaultType::kRandom;
-  if (s == "min") return FaultType::kMin;
-  if (s == "max") return FaultType::kMax;
-  return FaultType::kNoise;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace uavres;
 
   const auto fleet = core::BuildValenciaScenario();
-  const int mission = argc > 1 ? std::atoi(argv[1]) : 9;
-  const std::string target = argc > 2 ? argv[2] : "imu";
-  const std::string type = argc > 3 ? argv[3] : "random";
+  const std::string mission_arg = argc > 1 ? argv[1] : "9";
+  const auto target = core::ParseFaultTarget(argc > 2 ? argv[2] : "imu");
+  const auto type = core::ParseFaultType(argc > 3 ? argv[3] : "random");
   const double duration = argc > 4 ? std::atof(argv[4]) : 30.0;
 
-  const auto& spec = fleet[static_cast<std::size_t>(mission % 10)];
+  int mission = -1;
+  const auto [end, ec] = std::from_chars(
+      mission_arg.data(), mission_arg.data() + mission_arg.size(), mission);
+  if (ec != std::errc{} || end != mission_arg.data() + mission_arg.size() || mission < 0 ||
+      mission >= static_cast<int>(fleet.size()) || !target || !type) {
+    std::cerr << "usage: fault_demo [mission 0-9] [target acc|gyro|imu]\n"
+                 "                  [type fixed|zeros|freeze|random|min|max|noise] "
+                 "[duration_s]\n";
+    return 2;
+  }
+  const auto& spec = fleet[static_cast<std::size_t>(mission)];
 
   core::FaultSpec fault;
-  fault.target = ParseTarget(target);
-  fault.type = ParseType(type);
+  fault.target = *target;
+  fault.type = *type;
   fault.duration_s = duration;
 
   const uav::SimulationRunner runner;

@@ -28,69 +28,24 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 // ---------------------------------------------------------------------------
-// Repro-file tokens (match the `uavres inject` CLI spelling).
-
-const char* TypeToken(FaultType t) {
-  switch (t) {
-    case FaultType::kFixed: return "fixed";
-    case FaultType::kZeros: return "zeros";
-    case FaultType::kFreeze: return "freeze";
-    case FaultType::kRandom: return "random";
-    case FaultType::kMin: return "min";
-    case FaultType::kMax: return "max";
-    case FaultType::kNoise: return "noise";
-    case FaultType::kScale: return "scale";
-    case FaultType::kStuckAxis: return "stuck-axis";
-    case FaultType::kIntermittent: return "intermittent";
-    case FaultType::kDrift: return "drift";
-  }
-  return "noise";
-}
-
-const char* TargetToken(FaultTarget t) {
-  switch (t) {
-    case FaultTarget::kAccelerometer: return "acc";
-    case FaultTarget::kGyrometer: return "gyro";
-    case FaultTarget::kImu: return "imu";
-  }
-  return "imu";
-}
-
-bool ParseTypeToken(const std::string& s, FaultType& out) {
-  for (int i = 0; i <= static_cast<int>(FaultType::kDrift); ++i) {
-    const auto t = static_cast<FaultType>(i);
-    if (s == TypeToken(t)) {
-      out = t;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseTargetToken(const std::string& s, FaultTarget& out) {
-  for (const FaultTarget t : core::kAllFaultTargets) {
-    if (s == TargetToken(t)) {
-      out = t;
-      return true;
-    }
-  }
-  return false;
-}
+// Repro-file fault lines, spelled with the `uavres inject` tokens.
 
 std::string FormatFault(const FaultSpec& f) {
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s %s %.17g %.17g", TypeToken(f.type),
-                TargetToken(f.target), f.start_time_s, f.duration_s);
+  std::snprintf(buf, sizeof(buf), "%s %s %.17g %.17g", core::Token(f.type),
+                core::Token(f.target), f.start_time_s, f.duration_s);
   return buf;
 }
 
 bool ParseFault(std::istringstream& is, FaultSpec& out) {
-  std::string type, target;
+  std::string type_token, target_token;
   double start = 0.0, duration = 0.0;
-  if (!(is >> type >> target >> start >> duration)) return false;
-  if (!ParseTypeToken(type, out.type) || !ParseTargetToken(target, out.target)) {
-    return false;
-  }
+  if (!(is >> type_token >> target_token >> start >> duration)) return false;
+  const auto type = core::ParseFaultType(type_token);
+  const auto target = core::ParseFaultTarget(target_token);
+  if (!type || !target) return false;
+  out.type = *type;
+  out.target = *target;
   out.start_time_s = start;
   out.duration_s = duration;
   return true;
@@ -462,7 +417,7 @@ FuzzReport Fuzzer::Run() const {
     }
   }
 
-  // Phase 1: every case runs through the oracles in parallel (work-stealing
+  // Phase 1: every case runs through the oracles in parallel (shared-cursor
   // scheduler, core/scheduler.h). Results land in index-addressed slots, so
   // the sequential phase below reports, shrinks and writes .repro files in
   // case order — identical output for every thread count.

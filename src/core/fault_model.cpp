@@ -1,6 +1,32 @@
 #include "core/fault_model.h"
 
+#include <utility>
+
 namespace uavres::core {
+
+namespace {
+
+constexpr std::pair<FaultType, const char*> kTypeTokens[] = {
+    {FaultType::kFixed, "fixed"},
+    {FaultType::kZeros, "zeros"},
+    {FaultType::kFreeze, "freeze"},
+    {FaultType::kRandom, "random"},
+    {FaultType::kMin, "min"},
+    {FaultType::kMax, "max"},
+    {FaultType::kNoise, "noise"},
+    {FaultType::kScale, "scale"},
+    {FaultType::kStuckAxis, "stuck-axis"},
+    {FaultType::kIntermittent, "intermittent"},
+    {FaultType::kDrift, "drift"},
+};
+
+constexpr std::pair<FaultTarget, const char*> kTargetTokens[] = {
+    {FaultTarget::kAccelerometer, "acc"},
+    {FaultTarget::kGyrometer, "gyro"},
+    {FaultTarget::kImu, "imu"},
+};
+
+}  // namespace
 
 const char* ToString(FaultType t) {
   switch (t) {
@@ -44,6 +70,34 @@ const char* ToString(FaultTarget t) {
 
 std::string FaultLabel(FaultTarget target, FaultType type) {
   return std::string(ToString(target)) + " " + ToString(type);
+}
+
+const char* Token(FaultType t) {
+  for (const auto& [type, token] : kTypeTokens) {
+    if (type == t) return token;
+  }
+  return "?";
+}
+
+const char* Token(FaultTarget t) {
+  for (const auto& [target, token] : kTargetTokens) {
+    if (target == t) return token;
+  }
+  return "?";
+}
+
+std::optional<FaultType> ParseFaultType(std::string_view token) {
+  for (const auto& [type, spelling] : kTypeTokens) {
+    if (token == spelling) return type;
+  }
+  return std::nullopt;
+}
+
+std::optional<FaultTarget> ParseFaultTarget(std::string_view token) {
+  for (const auto& [target, spelling] : kTargetTokens) {
+    if (token == spelling) return target;
+  }
+  return std::nullopt;
 }
 
 }  // namespace uavres::core

@@ -19,7 +19,9 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace uavres::core {
 
@@ -111,5 +113,16 @@ const char* ToString(FaultTarget t);
 
 /// Short label like "Gyro Freeze" matching the paper's Table III rows.
 std::string FaultLabel(FaultTarget target, FaultType type);
+
+/// Command-line and `.repro` spelling of a fault type ("fixed", "zeros",
+/// "stuck-axis", ...) or target ("acc", "gyro", "imu"). One table in
+/// fault_model.cpp backs these and the parsers below.
+const char* Token(FaultType t);
+const char* Token(FaultTarget t);
+
+/// The value spelled exactly `token` (case-sensitive), or nullopt for any
+/// other string.
+std::optional<FaultType> ParseFaultType(std::string_view token);
+std::optional<FaultTarget> ParseFaultTarget(std::string_view token);
 
 }  // namespace uavres::core

@@ -11,6 +11,10 @@ namespace uavres::uspace {
 
 namespace {
 
+/// Lower bound on the grid cell size, and thus on the interaction horizon,
+/// in kUniformGrid mode: the cell is max(kMinCellM, 2 * max outer radius).
+constexpr double kMinCellM = 50.0;
+
 /// Packs a pair of grid cell coordinates into one exact 64-bit key.
 std::int64_t CellKey(std::int32_t cx, std::int32_t cy) {
   return static_cast<std::int64_t>(
@@ -193,7 +197,7 @@ void ConflictDetector::Step(double t) {
       }
     }
   } else if (snapshot_.size() > 1) {
-    const double cell_m = std::max(cfg_.min_cell_m, 2.0 * max_radius);
+    const double cell_m = std::max(kMinCellM, 2.0 * max_radius);
     min_horizon_ = std::min(min_horizon_, cell_m);
     CollectGridCandidates(cell_m);
   }
@@ -227,7 +231,7 @@ ConflictStats ConflictDetector::stats() const {
   s.instants_in_conflict = instants_in_conflict_;
   s.min_separation_m = any_pair_evaluated_ ? min_separation_ : 0.0;
   if (cfg_.broadphase != BroadphaseMode::kBruteForce) {
-    s.broadphase_horizon_m = min_horizon_ == 1e18 ? cfg_.min_cell_m : min_horizon_;
+    s.broadphase_horizon_m = min_horizon_ == 1e18 ? kMinCellM : min_horizon_;
   }
   s.pairs_evaluated = pairs_evaluated_;
   s.pairs_culled = pairs_culled_;

@@ -23,7 +23,7 @@
 //     correctness oracle; also the only mode whose min_separation_m spans
 //     pairs at arbitrary range.
 //   * kUniformGrid — a uniform grid over the horizontal plane, rebuilt each
-//     instant with cell size >= 2 * max outer radius (and >= min_cell_m), so
+//     instant with cell size >= 2 * max outer radius (and >= 50 m), so
 //     every pair that could possibly conflict or alert lands in the same or
 //     an adjacent cell (O(N·k)). Pairs with an open event are always
 //     re-evaluated so falling edges close exactly as in brute force.
@@ -59,10 +59,6 @@ const char* ToString(BroadphaseMode m);
 /// Detector tuning. Defaults preserve the original exhaustive semantics.
 struct ConflictDetectorConfig {
   BroadphaseMode broadphase{BroadphaseMode::kBruteForce};
-  /// Lower bound on the grid cell size (and thus the interaction horizon)
-  /// in kUniformGrid mode. The effective cell is
-  /// max(min_cell_m, 2 * max outer radius this instant).
-  double min_cell_m{50.0};
   /// Record the per-instant minimum separation over evaluated pairs (the
   /// min-separation distribution source for fleet experiments).
   bool record_instant_min_separation{false};

@@ -191,13 +191,13 @@ std::vector<FleetCampaign::Result> FleetCampaign::Run(
   std::vector<Result> results(specs.size());
   if (specs.empty()) return results;
 
-  // One spec: let the fleet runner use the whole machine. Several: spread
-  // the grid across workers and run each fleet single-threaded, matching
-  // the campaign's outer-parallel shape (results are byte-identical either
-  // way — the runner's contract).
+  // knobs.num_threads is spent once: on the fleet runner for one spec, or on
+  // the spec grid for several, each fleet then single-threaded, matching the
+  // campaign's outer-parallel shape (results are byte-identical either way —
+  // the runner's contract).
   FleetExecutionKnobs inner = cfg_.knobs;
   core::SchedulerOptions opts;
-  opts.num_threads = cfg_.num_threads;
+  opts.num_threads = cfg_.knobs.num_threads;
   if (specs.size() > 1) inner.num_threads = 1;
 
   core::ParallelFor(

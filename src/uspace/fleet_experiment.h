@@ -54,14 +54,14 @@ telemetry::FleetRecord ToFleetRecord(const core::FleetExperimentSpec& spec,
 telemetry::FleetRecord RunFleetExperiment(const core::FleetExperimentSpec& spec,
                                           const FleetExecutionKnobs& knobs = {});
 
-/// Campaign-style executor for a grid of fleet specs: work-stealing
-/// ParallelFor across specs, ResultStore dedupe by FleetCacheKey.
+/// Campaign-style executor for a grid of fleet specs: ParallelFor across
+/// specs, ResultStore dedupe by FleetCacheKey.
 struct FleetCampaignConfig {
+  /// knobs.num_threads bounds the whole run: the spec grid's workers when
+  /// there are several specs (each fleet then runs on one thread), else the
+  /// FleetRunner's own.
   FleetExecutionKnobs knobs;
   std::string cache_dir;  ///< empty disables caching
-  /// Workers for the spec grid. A single-spec run instead threads the
-  /// FleetRunner itself (knobs.num_threads).
-  int num_threads{0};
 };
 
 class FleetCampaign {

@@ -57,7 +57,6 @@ FleetRunOutput FleetRunner::Run(const std::vector<DroneSpec>& fleet,
   broker.Subscribe([&tracker](const TrackReport& r) { tracker.Ingest(r); });
   ConflictDetectorConfig det_cfg;
   det_cfg.broadphase = cfg_.broadphase;
-  det_cfg.min_cell_m = cfg_.min_cell_m;
   det_cfg.record_instant_min_separation = true;
   ConflictDetector detector(&tracker, det_cfg);
 

@@ -10,7 +10,7 @@
 //
 // Drones couple only through the broker/tracker at the tracking cadence,
 // never inside a control step, so every live flight advances one full
-// tracking interval independently on the work-stealing scheduler. A serial
+// tracking interval independently on the shared-cursor scheduler. A serial
 // boundary phase then publishes tracking reports in flight-id order,
 // delivers the broker queue, steps the conflict detector and (in
 // continuous-traffic mode) relaunches ended slots in slot order.
@@ -56,7 +56,6 @@ struct FleetRunConfig {
   // Execution strategy — result-neutral by contract.
   int num_threads{0};  ///< 0 = hardware concurrency
   BroadphaseMode broadphase{BroadphaseMode::kUniformGrid};
-  double min_cell_m{50.0};  ///< grid horizon floor
 
   /// > 0: relaunch a fresh flight in a drone's slot whenever its flight
   /// ends before this sim time (continuous traffic; the airspace-throughput

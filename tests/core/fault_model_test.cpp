@@ -54,6 +54,21 @@ TEST(FaultModel, NamesMatchPaperVocabulary) {
   EXPECT_STREQ(ToString(FaultTarget::kImu), "IMU");
 }
 
+// One token table serves the CLI, the `.repro` files and fault_demo: every
+// value must parse back from its own token, and near misses must not parse.
+TEST(FaultModel, TokensRoundTripAndRejectUnknown) {
+  for (const FaultType t : kAllFaultTypes) EXPECT_EQ(ParseFaultType(Token(t)), t);
+  for (const FaultType t : kExtendedFaultTypes) EXPECT_EQ(ParseFaultType(Token(t)), t);
+  for (const FaultTarget t : kAllFaultTargets) EXPECT_EQ(ParseFaultTarget(Token(t)), t);
+  EXPECT_STREQ(Token(FaultType::kStuckAxis), "stuck-axis");
+  EXPECT_STREQ(Token(FaultTarget::kGyrometer), "gyro");
+
+  for (const char* bad : {"zerso", "IMU", ""}) {
+    EXPECT_EQ(ParseFaultType(bad), std::nullopt) << bad;
+    EXPECT_EQ(ParseFaultTarget(bad), std::nullopt) << bad;
+  }
+}
+
 TEST(FaultModel, LabelsMatchTable3Rows) {
   EXPECT_EQ(FaultLabel(FaultTarget::kAccelerometer, FaultType::kFreeze), "Acc Freeze");
   EXPECT_EQ(FaultLabel(FaultTarget::kGyrometer, FaultType::kMin), "Gyro Min");

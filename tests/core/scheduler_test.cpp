@@ -1,6 +1,8 @@
-// Work-stealing scheduler: index coverage, determinism-by-construction, and
-// the starvation property (one huge job must not serialize the grid).
+// Shared-cursor scheduler: index coverage, determinism-by-construction, the
+// starvation property (one huge job must not serialize the grid), and idle
+// workers exiting instead of spinning.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -71,9 +73,9 @@ TEST(Scheduler, ResolvedThreadCountIsPositive) {
   EXPECT_EQ(ResolvedThreadCount(opts), 7);
 }
 
-// One 100x-cost job plus 50 cheap jobs on two workers: with cost-aware
-// dealing and steal-half rebalancing the wall clock stays near the critical
-// path (the big job), instead of the big job queueing behind cheap ones.
+// One 100x-cost job plus 50 cheap jobs on two workers: claimed longest first,
+// the big job starts at once and the wall clock stays near the critical path,
+// instead of the big job queueing behind cheap ones.
 // Sleeps stand in for simulation work so the bound holds on any machine.
 TEST(Scheduler, StarvationBigJobDoesNotSerializeGrid) {
   constexpr auto kUnit = std::chrono::milliseconds(1);
@@ -96,7 +98,7 @@ TEST(Scheduler, StarvationBigJobDoesNotSerializeGrid) {
 }
 
 // The starvation bound must survive a heavily skewed cost vector: one job
-// costing as much as eight long missions (100 units) dealt alongside many
+// costing as much as eight long missions (100 units) claimed alongside many
 // cheap jobs must still bound the wall clock by the expensive job itself,
 // not the serialized grid.
 TEST(Scheduler, StarvationBoundHoldsForBatchedCampaignCosts) {
@@ -121,6 +123,58 @@ TEST(Scheduler, StarvationBoundHoldsForBatchedCampaignCosts) {
   // Critical path: the 100-unit batch; the cheap batches (50 units total)
   // run on the second worker in parallel. Allow 1.2x for overhead.
   EXPECT_LE(wall_ms, 1.2 * 100.0) << "expensive batch was starved behind cheap batches";
+}
+
+// The costliest job is among the first claims even when its index is last.
+// The first job each of the two workers takes waits for the other, so the
+// two recorded jobs are exactly the first two claims.
+TEST(Scheduler, CostliestJobIsClaimedFirst) {
+  const std::vector<double> costs{1.0, 1.0, 1.0, 5.0};
+  std::atomic<int> arrived{0};
+  std::mutex first_mutex;
+  std::vector<std::size_t> first;
+  SchedulerOptions opts;
+  opts.num_threads = 2;
+  ParallelFor(
+      costs.size(), costs,
+      [&](std::size_t i) {
+        if (arrived.fetch_add(1) >= 2) return;
+        {
+          std::lock_guard<std::mutex> lock(first_mutex);
+          first.push_back(i);
+        }
+        while (arrived.load() < 2) std::this_thread::yield();
+      },
+      opts);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_NE(std::find(first.begin(), first.end(), 3u), first.end())
+      << "first claims: " << first[0] << ", " << first[1];
+}
+
+// Two jobs on four workers, one of them sleeping 300 ms: a worker with
+// nothing left to claim must return, not spin until the sleeper finishes.
+// Process CPU time counts every thread, so spinning shows up as CPU close
+// to (or above) the wall time.
+TEST(Scheduler, IdleWorkersDoNotBurnCpu) {
+  auto seconds = [](clockid_t clock) {
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+  SchedulerOptions opts;
+  opts.num_threads = 4;
+  const double cpu0 = seconds(CLOCK_PROCESS_CPUTIME_ID);
+  const double wall0 = seconds(CLOCK_MONOTONIC);
+  ParallelFor(
+      2,
+      [](std::size_t i) {
+        if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      },
+      opts);
+  const double cpu_s = seconds(CLOCK_PROCESS_CPUTIME_ID) - cpu0;
+  const double wall_s = seconds(CLOCK_MONOTONIC) - wall0;
+  EXPECT_LT(cpu_s, wall_s / 3.0) << "idle workers burned " << cpu_s << " s CPU in "
+                                 << wall_s << " s wall";
 }
 
 TEST(TaskPool, RunsEverySubmittedTask) {

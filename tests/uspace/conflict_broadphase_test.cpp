@@ -28,16 +28,9 @@ struct DualRig {
   ConflictDetector brute;
   ConflictDetector grid;
 
-  explicit DualRig(double min_cell_m = 50.0)
-      : brute(&brute_tracker, MakeConfig(BroadphaseMode::kBruteForce, min_cell_m)),
-        grid(&grid_tracker, MakeConfig(BroadphaseMode::kUniformGrid, min_cell_m)) {}
-
-  static ConflictDetectorConfig MakeConfig(BroadphaseMode mode, double min_cell_m) {
-    ConflictDetectorConfig cfg;
-    cfg.broadphase = mode;
-    cfg.min_cell_m = min_cell_m;
-    return cfg;
-  }
+  DualRig()
+      : brute(&brute_tracker, {.broadphase = BroadphaseMode::kBruteForce}),
+        grid(&grid_tracker, {.broadphase = BroadphaseMode::kUniformGrid}) {}
 
   void Register(const TrackedDrone& d) {
     brute_tracker.Register(d);
