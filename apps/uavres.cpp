@@ -4,12 +4,12 @@
 //   uavres inject [mission] [target] [type] [duration] [--seed N]
 //   uavres campaign [--missions N] [--durations 2,5,10,30] [--threads N]
 //   uavres fleet [--scenario convoy|valencia] [--drones N] [--fault tgt:type:dur]
-//                [--faulted-drone K] [--recovery on] [--relaunch-horizon S]
+//                [--faulted-drone K] [--recovery [on|off]] [--relaunch-horizon S]
 //                [--threads N] [--oracle] [--cache-dir DIR]
 //   uavres convoy [--spacing M] [--drones N]
 //   uavres export [mission] [file.csv] [--rate HZ]
-//   uavres record [mission] [file.uvrl] [--rate HZ] [--target acc|gyro|imu
-//                 --type <fault> --duration S]
+//   uavres record [mission] [file.uvrl] [--rate HZ] [--seed N] [--recovery [on|off]]
+//                 [--target acc|gyro|imu --type <fault> --duration S]
 //   uavres record [mission] [file.uvbs] [--bus]   (full bus-topic log)
 //   uavres replay [file.uvrl]
 //   uavres replay [file.uvbs] [--estimator ekf|comp]
@@ -23,9 +23,11 @@
 //   uavres help [command]
 //
 // Every subcommand lives in the registry table (kCommands) below: one row
-// binds its name, synopsis, help text, and handler, and both the dispatch
-// and the generated `uavres help [command]` output derive from that single
-// table — adding a command is adding a row.
+// binds its name, synopsis, help text, and handler, and the dispatch, the
+// flags each command accepts and the generated `uavres help [command]`
+// output all derive from that single table — adding a command is adding a
+// row. A malformed number, an unknown word or flag, or a flag missing its
+// value exits 2 before anything runs.
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -57,19 +59,14 @@ namespace {
 
 using namespace uavres;
 
-/// A command-line value no parser accepts. Dispatch prints it and exits 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 core::FaultTarget ParseTarget(const std::string& s) {
   if (const auto target = core::ParseFaultTarget(s)) return *target;
-  throw UsageError("unknown fault target '" + s + "'");
+  throw app::UsageError("unknown fault target '" + s + "'");
 }
 
 core::FaultType ParseType(const std::string& s) {
   if (const auto type = core::ParseFaultType(s)) return *type;
-  throw UsageError("unknown fault type '" + s + "'");
+  throw app::UsageError("unknown fault type '" + s + "'");
 }
 
 int MissionIndex(const app::CommandLine& cl, std::size_t pos) {
@@ -78,8 +75,8 @@ int MissionIndex(const app::CommandLine& cl, std::size_t pos) {
   int m = -1;
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), m);
   if (ec != std::errc{} || end != s.data() + s.size() || m < 0 || m >= count) {
-    throw UsageError("unknown mission index '" + s + "', expected 0-" +
-                     std::to_string(count - 1));
+    throw app::UsageError("unknown mission index '" + s + "', expected 0-" +
+                          std::to_string(count - 1));
   }
   return m;
 }
@@ -115,7 +112,7 @@ int CmdList() {
 int CmdFly(const app::CommandLine& cl) {
   const auto& fleet = core::SharedValenciaScenario();
   const int mission = MissionIndex(cl, 0);
-  const auto seed = static_cast<std::uint64_t>(cl.FlagInt("seed", 2024));
+  const std::uint64_t seed = cl.FlagUint64("seed", 2024);
   const uav::SimulationRunner runner;
   const auto out = runner.Run({fleet[static_cast<std::size_t>(mission)], mission, std::nullopt, seed});
   std::printf("mission    : %s\n", fleet[static_cast<std::size_t>(mission)].name.c_str());
@@ -129,9 +126,9 @@ int CmdInject(const app::CommandLine& cl) {
   core::FaultSpec fault;
   fault.target = ParseTarget(cl.Positional(1, "imu"));
   fault.type = ParseType(cl.Positional(2, "random"));
-  fault.duration_s = std::atof(cl.Positional(3, "10").c_str());
+  fault.duration_s = app::ParseDouble(cl.Positional(3, "10"), "duration");
   fault.magnitude = cl.FlagDouble("magnitude", 1.0);
-  const auto seed = static_cast<std::uint64_t>(cl.FlagInt("seed", 2024));
+  const std::uint64_t seed = cl.FlagUint64("seed", 2024);
 
   const auto& spec = fleet[static_cast<std::size_t>(mission)];
   const uav::SimulationRunner runner;
@@ -152,9 +149,9 @@ uav::ExperimentSpec ParseFaultedSpec(const app::CommandLine& cl) {
   core::FaultSpec fault;
   fault.target = ParseTarget(cl.Positional(1, "imu"));
   fault.type = ParseType(cl.Positional(2, "random"));
-  fault.duration_s = std::atof(cl.Positional(3, "10").c_str());
+  fault.duration_s = app::ParseDouble(cl.Positional(3, "10"), "duration");
   return {fleet[static_cast<std::size_t>(mission)], mission, fault,
-          static_cast<std::uint64_t>(cl.FlagInt("seed", 2024))};
+          cl.FlagUint64("seed", 2024)};
 }
 
 int CmdSnapshot(const app::CommandLine& cl) {
@@ -240,17 +237,11 @@ int CmdCampaign(const app::CommandLine& cl) {
   api::CampaignConfig::Builder builder(env);
   builder.Missions(cl.FlagInt("missions", env.mission_limit))
       .Threads(cl.FlagInt("threads", env.num_threads));
-  if (const auto d = cl.Flag("durations")) {
-    const auto list = app::ParseDoubleList(*d);
-    if (!list.empty()) builder.Durations(list);
-  }
+  if (const auto d = cl.Flag("durations")) builder.Durations(app::ParseDoubleList(*d));
   if (const auto dir = cl.Flag("cache-dir")) builder.CacheDir(*dir);
   if (cl.HasFlag("no-cache")) builder.CacheDir("");
-  if (const auto rec = cl.Flag("recovery")) {
-    // Bare `--recovery` and `--recovery on|1` enable; `off|0` forces off
-    // (overriding UAVRES_RECOVERY).
-    builder.Recovery(*rec != "off" && *rec != "0");
-  }
+  // `--recovery off|0` forces recovery off, overriding UAVRES_RECOVERY.
+  builder.Recovery(cl.FlagOnOff("recovery", env.run.recovery));
   api::CampaignConfig cfg;
   try {
     cfg = builder.Build();
@@ -367,8 +358,7 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
 /// publish, replayable offline with `uavres replay file.uvbs`.
 int CmdRecordBus(const app::CommandLine& cl, const core::DroneSpec& spec, int mission,
                  const std::string& path) {
-  uav::ExperimentSpec espec{spec, mission, std::nullopt,
-                            static_cast<std::uint64_t>(cl.FlagInt("seed", 2024))};
+  uav::ExperimentSpec espec{spec, mission, std::nullopt, cl.FlagUint64("seed", 2024)};
   if (cl.HasFlag("target") || cl.HasFlag("type")) {
     core::FaultSpec fault;
     fault.target = ParseTarget(cl.Flag("target").value_or("imu"));
@@ -381,7 +371,7 @@ int CmdRecordBus(const app::CommandLine& cl, const core::DroneSpec& spec, int mi
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  const bool recovery = cl.HasFlag("recovery");
+  const bool recovery = cl.FlagOnOff("recovery", false);
   const auto stats = uav::RecordBusLog(espec, os, recovery);
   if (!stats) {
     std::fprintf(stderr, "bus recording failed writing %s\n", path.c_str());
@@ -398,6 +388,9 @@ int CmdRecordBus(const app::CommandLine& cl, const core::DroneSpec& spec, int mi
 
 /// Offline estimator re-run from a bus-topic log.
 int CmdReplayBus(const app::CommandLine& cl, const std::string& path) {
+  const auto kind = cl.FlagWord("estimator", {"ekf", "comp"}) == "comp"
+                        ? uav::ReplayEstimatorKind::kComplementary
+                        : uav::ReplayEstimatorKind::kEkf;
   std::ifstream is(path, std::ios::binary);
   if (!is) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
@@ -415,9 +408,6 @@ int CmdReplayBus(const app::CommandLine& cl, const std::string& path) {
     return 1;
   }
   const auto& spec = fleet[static_cast<std::size_t>(header.mission_index)];
-  const std::string which = cl.Flag("estimator").value_or("ekf");
-  const auto kind = which == "comp" ? uav::ReplayEstimatorKind::kComplementary
-                                    : uav::ReplayEstimatorKind::kEkf;
   const auto stats = uav::ReplayEstimator(is, spec, kind);
   if (!stats) {
     std::fprintf(stderr, "cannot replay %s\n", path.c_str());
@@ -464,8 +454,10 @@ int CmdRecord(const app::CommandLine& cl) {
   }
   uav::RunConfig run_cfg;
   run_cfg.record_rate_hz = cl.FlagDouble("rate", 5.0);
+  run_cfg.recovery = cl.FlagOnOff("recovery", false);
   const uav::SimulationRunner runner(run_cfg);
   const auto& spec = fleet[static_cast<std::size_t>(mission)];
+  const std::uint64_t seed = cl.FlagUint64("seed", 2024);
 
   uav::RunOutput out;
   if (cl.HasFlag("target") || cl.HasFlag("type")) {
@@ -473,10 +465,10 @@ int CmdRecord(const app::CommandLine& cl) {
     fault.target = ParseTarget(cl.Flag("target").value_or("imu"));
     fault.type = ParseType(cl.Flag("type").value_or("random"));
     fault.duration_s = cl.FlagDouble("duration", 10.0);
-    const auto gold = runner.Run({spec, mission, std::nullopt, 2024});
-    out = runner.Run({spec, mission, fault, 2024, &gold.trajectory});
+    const auto gold = runner.Run({spec, mission, std::nullopt, seed});
+    out = runner.Run({spec, mission, fault, seed, &gold.trajectory});
   } else {
-    out = runner.Run({spec, mission, std::nullopt, 2024});
+    out = runner.Run({spec, mission, std::nullopt, seed});
   }
 
   telemetry::FlightRecord record;
@@ -531,7 +523,7 @@ int CmdFuzz(const app::CommandLine& cl) {
       return 2;
     }
     const int runs = cl.FlagInt("runs", 16);
-    const auto seed = static_cast<std::uint64_t>(cl.FlagInt("seed", 1));
+    const std::uint64_t seed = cl.FlagUint64("seed", 1);
     const auto rep = app::RunForkFuzz(*snap, runs, seed);
     if (!rep.ok) {
       std::fprintf(stderr, "fuzz: %s\n", rep.error.c_str());
@@ -569,7 +561,7 @@ int CmdFuzz(const app::CommandLine& cl) {
   }
 
   app::FuzzOptions opts;
-  opts.base_seed = static_cast<std::uint64_t>(cl.FlagInt("seed", 1));
+  opts.base_seed = cl.FlagUint64("seed", 1);
   opts.runs = cl.FlagInt("runs", 100);
   opts.out_dir = cl.Flag("out").value_or("fuzz-repros");
   opts.shrink_budget = cl.FlagInt("shrink-budget", 32);
@@ -603,7 +595,9 @@ core::FaultSpec ParseFleetFault(const std::string& s) {
   }
   if (!parts.empty() && !parts[0].empty()) fault.target = ParseTarget(parts[0]);
   if (parts.size() > 1 && !parts[1].empty()) fault.type = ParseType(parts[1]);
-  if (parts.size() > 2 && !parts[2].empty()) fault.duration_s = std::atof(parts[2].c_str());
+  if (parts.size() > 2 && !parts[2].empty()) {
+    fault.duration_s = app::ParseDouble(parts[2], "fault duration");
+  }
   return fault;
 }
 
@@ -630,9 +624,9 @@ void PrintFleetRecord(const char* label, const telemetry::FleetRecord& r) {
 
 int CmdFleet(const app::CommandLine& cl) {
   core::FleetExperimentSpec spec;
-  const std::string scenario = cl.Flag("scenario").value_or("convoy");
-  spec.scenario = scenario == "valencia" ? core::FleetScenario::kValencia
-                                         : core::FleetScenario::kConvoy;
+  spec.scenario = cl.FlagWord("scenario", {"convoy", "valencia"}) == "valencia"
+                      ? core::FleetScenario::kValencia
+                      : core::FleetScenario::kConvoy;
   spec.num_drones = cl.FlagInt("drones", 10);
   spec.lane_spacing_m = cl.FlagDouble("spacing", spec.lane_spacing_m);
   spec.speed_kmh = cl.FlagDouble("speed", spec.speed_kmh);
@@ -641,12 +635,10 @@ int CmdFleet(const app::CommandLine& cl) {
   spec.drop_probability = cl.FlagDouble("drop", 0.0);
   spec.link_delay_s = cl.FlagDouble("delay", 0.0);
   spec.relaunch_horizon_s = cl.FlagDouble("relaunch-horizon", 0.0);
-  spec.seed_base = static_cast<std::uint64_t>(cl.FlagInt("seed", 2024));
+  spec.seed_base = cl.FlagUint64("seed", 2024);
   if (const auto f = cl.Flag("fault")) spec.fault = ParseFleetFault(*f);
   spec.faulted_drone = cl.FlagInt("faulted-drone", spec.num_drones / 2);
-  if (const auto rec = cl.Flag("recovery")) {
-    spec.recovery = *rec != "off" && *rec != "0";
-  }
+  spec.recovery = cl.FlagOnOff("recovery", false);
   if (spec.num_drones <= 0) {
     std::fprintf(stderr, "fleet: --drones must be positive\n");
     return 2;
@@ -660,7 +652,7 @@ int CmdFleet(const app::CommandLine& cl) {
 
   uspace::FleetCampaignConfig cfg;
   cfg.knobs.num_threads = cl.FlagInt("threads", 0);
-  if (cl.Flag("broadphase").value_or("grid") == "brute") {
+  if (cl.FlagWord("broadphase", {"grid", "brute"}) == "brute") {
     cfg.knobs.broadphase = uspace::BroadphaseMode::kBruteForce;
   }
   if (const char* env = std::getenv("UAVRES_CACHE_DIR")) cfg.cache_dir = env;
@@ -799,14 +791,9 @@ int CmdLoadgen(const app::CommandLine& cl) {
   cfg.batch = cl.FlagInt("batch", cfg.batch);
   cfg.unique = cl.FlagInt("unique", cfg.unique);
   cfg.missions = cl.FlagInt("missions", cfg.missions);
-  if (const auto d = cl.Flag("durations")) {
-    const auto list = app::ParseDoubleList(*d);
-    if (!list.empty()) cfg.durations = list;
-  }
-  if (const auto rec = cl.Flag("recovery")) {
-    cfg.recovery = *rec != "off" && *rec != "0";
-  }
-  cfg.seed_base = static_cast<std::uint64_t>(cl.FlagInt("seed", 2024));
+  if (const auto d = cl.Flag("durations")) cfg.durations = app::ParseDoubleList(*d);
+  cfg.recovery = cl.FlagOnOff("recovery", false);
+  cfg.seed_base = cl.FlagUint64("seed", 2024);
   cfg.verify = cl.HasFlag("verify");
   cfg.shutdown = cl.HasFlag("shutdown");
   cfg.out_path = cl.Flag("out").value_or(cfg.out_path);
@@ -817,8 +804,8 @@ int CmdLoadgen(const app::CommandLine& cl) {
 
 namespace {
 
-/// One registry row per subcommand: dispatch, the command index, and
-/// `uavres help <cmd>` all read from this table.
+/// One registry row per subcommand: dispatch, the flags it accepts, the
+/// command index, and `uavres help <cmd>` all read from this table.
 struct Command {
   const char* name;
   const char* args;     ///< synopsis after `uavres <name>`
@@ -826,6 +813,9 @@ struct Command {
   const char* details;  ///< extra paragraph for `help <cmd>` ("" = none)
   int (*run)(const uavres::app::CommandLine&);
 };
+
+/// Flags every command takes besides its synopsis' (see DESIGN.md §10).
+constexpr const char* kGlobalFlags = "[--trace-out FILE] [--metrics-out FILE] [--progress]";
 
 const Command kCommands[] = {
     {"list", "", "show the ten-mission scenario", "",
@@ -837,7 +827,7 @@ const Command kCommands[] = {
      "inject one fault against its gold reference", "", CmdInject},
     {"campaign",
      "[--missions N] [--durations 2,5,10,30] [--threads N] [--cache-dir DIR]\n"
-     "       [--no-cache] [--cache-stats] [--recovery on|off]",
+     "       [--no-cache] [--cache-stats] [--recovery [on|off]]",
      "run the grid, print Tables II-IV",
      "Completed runs persist to the cache (also via UAVRES_CACHE_DIR) so an\n"
      "interrupted campaign resumes. --recovery on adds the IMU-fault detector\n"
@@ -857,7 +847,7 @@ const Command kCommands[] = {
      CmdServe},
     {"loadgen",
      "[--host H] [--port N] [--clients N] [--specs N] [--batch N] [--unique N]\n"
-     "       [--missions N] [--durations LIST] [--recovery on|off] [--seed N]\n"
+     "       [--missions N] [--durations LIST] [--recovery [on|off]] [--seed N]\n"
      "       [--verify] [--shutdown] [--out FILE]",
      "multi-client load/latency bench against a running serve daemon",
      "Deals a cycling spec stream across N client connections so distinct\n"
@@ -869,9 +859,9 @@ const Command kCommands[] = {
      CmdLoadgen},
     {"fleet",
      "[--scenario convoy|valencia] [--drones N] [--spacing M] [--speed KMH]\n"
-     "       [--leg M] [--fault acc|gyro|imu:type:duration] [--faulted-drone K]\n"
-     "       [--recovery on|off] [--drop P] [--delay S] [--relaunch-horizon S]\n"
-     "       [--seed N] [--threads N] [--broadphase grid|brute]\n"
+     "       [--leg M] [--interval S] [--fault acc|gyro|imu:type:duration]\n"
+     "       [--faulted-drone K] [--recovery [on|off]] [--drop P] [--delay S]\n"
+     "       [--relaunch-horizon S] [--seed N] [--threads N] [--broadphase grid|brute]\n"
      "       [--oracle] [--no-baseline] [--cache-dir DIR] [--no-cache]",
      "fleet-scale airspace experiment",
      "Runs N drones, one vehicle each, stepped per tracking interval on the\n"
@@ -890,7 +880,7 @@ const Command kCommands[] = {
      CmdExport},
     {"record",
      "[mission] [file.uvrl|file.uvbs] [--bus] [--rate HZ] [--seed N]\n"
-     "       [--target acc|gyro|imu --type random --duration S] [--recovery]",
+     "       [--target acc|gyro|imu --type random --duration S] [--recovery [on|off]]",
      "record a flight (binary log) or the full bus-topic stream",
      "A .uvbs path implies --bus (every topic the modules publish, replayable\n"
      "offline). --recovery flies with the IMU-fault detector + failover\n"
@@ -969,8 +959,9 @@ int Dispatch(const uavres::app::CommandLine& cl) {
   }
   if (const Command* c = FindCommand(cl.command)) {
     try {
+      cl.CheckFlags(std::string(c->args) + " " + kGlobalFlags);
       return c->run(cl);
-    } catch (const UsageError& e) {
+    } catch (const uavres::app::UsageError& e) {
       std::fprintf(stderr, "uavres %s: %s (see `uavres help %s`)\n", c->name, e.what(),
                    c->name);
       return 2;

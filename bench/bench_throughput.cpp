@@ -164,19 +164,24 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const app::CommandLine cl = app::ParseCommandLine(args);
-
-  const core::CampaignConfig env = core::CampaignConfig::FromEnvironment();
-  core::CampaignConfig::Builder builder(env);
-  builder.Missions(cl.FlagInt("missions", env.mission_limit))
-      .Threads(cl.FlagInt("threads", env.num_threads))
-      .CacheDir("");  // throughput means computing, not loading
-  if (const auto d = cl.Flag("durations")) {
-    const auto list = app::ParseDoubleList(*d);
-    if (!list.empty()) builder.Durations(list);
+  constexpr const char* kUsage =
+      "[--missions N] [--threads N] [--durations a,b,...] [--out FILE]";
+  const app::CommandLine cl = app::ParseCommandLine({argv + 1, argv + argc});
+  core::CampaignConfig cfg;
+  try {
+    cl.CheckFlags(kUsage);
+    const core::CampaignConfig env = core::CampaignConfig::FromEnvironment();
+    core::CampaignConfig::Builder builder(env);
+    builder.Missions(cl.FlagInt("missions", env.mission_limit))
+        .Threads(cl.FlagInt("threads", env.num_threads))
+        .CacheDir("");  // throughput means computing, not loading
+    if (const auto d = cl.Flag("durations")) builder.Durations(app::ParseDoubleList(*d));
+    cfg = builder.Build();
+  } catch (const std::exception& e) {  // a UsageError or a config Build() rejects
+    std::fprintf(stderr, "bench_throughput: %s\nusage: bench_throughput %s\n", e.what(),
+                 kUsage);
+    return 2;
   }
-  const core::CampaignConfig cfg = builder.Build();
   const std::string out_path = cl.Flag("out").value_or("BENCH_campaign.json");
 
   // --- 1. Campaign throughput. ---

@@ -39,6 +39,14 @@ void WarnIneffectiveEnv(const char* name, const std::string& why) {
             << ")\n";
 }
 
+/// `base` as the grid runs `spec`: a faulty run only needs its metrics, so
+/// it records no trajectory (bounding memory; part of its key).
+uav::RunConfig HarnessFor(const uav::RunConfig& base, const uav::ExperimentSpec& spec) {
+  uav::RunConfig run = base;
+  if (!spec.IsGold()) run.record_trajectory = false;
+  return run;
+}
+
 }  // namespace
 
 CampaignConfig CampaignConfig::FromEnvironment() {
@@ -148,14 +156,33 @@ std::vector<FaultSpec> Campaign::GridFaults() const {
   return grid;
 }
 
+std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpec& spec) {
+  return ExperimentCacheKey(HarnessFor(base, spec), spec);
+}
+
+ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
+                              uav::ExperimentSpec spec,
+                              const std::function<const telemetry::Trajectory*()>& gold) {
+  const std::uint64_t key = ExperimentKey(base, spec);
+  if (auto cached = store.Load(key, /*require_trajectory=*/spec.IsGold())) {
+    return {std::move(*cached), true};
+  }
+  // Resolve the reference before the scratch is used: a lazy `gold` may
+  // simulate the mission's gold run on this same thread.
+  if (!spec.IsGold() && gold) spec.gold = gold();
+  // Per-worker scratch: RunInto clears but keeps buffer capacity, so each
+  // worker pays the output allocations once, not per run.
+  thread_local uav::RunOutput scratch;
+  uav::SimulationRunner(HarnessFor(base, spec)).RunInto(spec, scratch);
+  ExperimentEntry entry{{scratch.result, std::nullopt}, false};
+  if (spec.IsGold()) entry.run.trajectory = std::move(scratch.trajectory);
+  if (store.enabled()) store.Store(key, entry.run);
+  return entry;
+}
+
 CampaignResults Campaign::Run(
     const std::function<void(std::size_t, std::size_t)>& progress) const {
   UAVRES_TRACE_SCOPE("campaign/run");
-  const uav::SimulationRunner runner(cfg_.run);
-  // Faulty runs only need metrics; skip trajectory recording to bound memory.
-  uav::RunConfig faulty_cfg = cfg_.run;
-  faulty_cfg.record_trajectory = false;
-  const uav::SimulationRunner faulty_runner(faulty_cfg);
   const auto grid = GridFaults();
 
   // The mutator is an opaque callable the cache key cannot cover; a store
@@ -185,48 +212,30 @@ CampaignResults Campaign::Run(
     mission_cost[i] = fleet_[i].plan.ExpectedDuration() + cfg_.run.extra_time_s;
   }
 
-  // Phase 1: gold runs (references needed before any faulty run). Cached
-  // entries must carry their trajectory — it is the bubble reference for
-  // every dependent faulty run.
+  // Phase 1: gold runs (references needed before any faulty run).
   {
     UAVRES_TRACE_SCOPE("campaign/gold-phase");
     ParallelFor(
         fleet_.size(), mission_cost,
         [&](std::size_t i) {
           UAVRES_TRACE_SCOPE("campaign/gold-run");
-          const uav::ExperimentSpec espec{fleet_[i], static_cast<int>(i), std::nullopt,
-                                          cfg_.seed_base, nullptr};
-          const std::uint64_t key = ExperimentCacheKey(cfg_.run, espec);
-          if (auto cached = store.Load(key, /*require_trajectory=*/true)) {
-            results.gold[i] = cached->result;
-            results.gold_trajectories[i] = std::move(*cached->trajectory);
-          } else {
-            auto out = runner.Run(espec);
-            results.gold[i] = out.result;
-            results.gold_trajectories[i] = std::move(out.trajectory);
-            if (store.enabled()) {
-              store.Store(key, {results.gold[i], results.gold_trajectories[i]});
-            }
-          }
+          ExperimentEntry gold = RunExperiment(
+              store, cfg_.run,
+              {fleet_[i], static_cast<int>(i), std::nullopt, cfg_.seed_base, nullptr});
+          results.gold[i] = std::move(gold.run.result);
+          results.gold_trajectories[i] = std::move(*gold.run.trajectory);
           CountCampaignResult(results.gold[i]);
           report();
         },
         sched);
   }
 
-  // Phase 2: faulty runs, flat (mission, fault) grid. Metrics-only entries;
-  // each is persisted as its worker finishes (checkpointing), so a killed
-  // campaign resumes with only the missing runs recomputed.
+  // Phase 2: faulty runs, flat (mission, fault) grid. Each entry is
+  // persisted as its worker finishes (checkpointing), so a killed campaign
+  // resumes with only the missing runs recomputed.
   {
     UAVRES_TRACE_SCOPE("campaign/faulty-phase");
     const std::size_t n_jobs = results.faulty.size();
-    auto spec_for = [&](std::size_t j) {
-      const std::size_t mission = j / grid.size();
-      const std::size_t fault = j % grid.size();
-      return uav::ExperimentSpec{fleet_[mission], static_cast<int>(mission),
-                                 grid[fault], cfg_.seed_base,
-                                 &results.gold_trajectories[mission]};
-    };
     std::vector<double> costs(n_jobs);
     for (std::size_t j = 0; j < n_jobs; ++j) costs[j] = mission_cost[j / grid.size()];
 
@@ -234,18 +243,13 @@ CampaignResults Campaign::Run(
         n_jobs, costs,
         [&](std::size_t j) {
           UAVRES_TRACE_SCOPE("campaign/faulty-run");
-          const uav::ExperimentSpec espec = spec_for(j);
-          const std::uint64_t key = ExperimentCacheKey(faulty_cfg, espec);
-          if (auto cached = store.Load(key)) {
-            results.faulty[j] = cached->result;
-          } else {
-            // Per-worker scratch: RunInto clears but keeps buffer capacity,
-            // so each worker pays the output allocations once, not per run.
-            thread_local uav::RunOutput scratch;
-            faulty_runner.RunInto(espec, scratch);
-            results.faulty[j] = scratch.result;
-            if (store.enabled()) store.Store(key, {results.faulty[j], std::nullopt});
-          }
+          const std::size_t mission = j / grid.size();
+          results.faulty[j] =
+              RunExperiment(store, cfg_.run,
+                            {fleet_[mission], static_cast<int>(mission),
+                             grid[j % grid.size()], cfg_.seed_base, nullptr},
+                            [&] { return &results.gold_trajectories[mission]; })
+                  .run.result;
           CountCampaignResult(results.faulty[j]);
           report();
         },

@@ -101,6 +101,30 @@ struct CampaignResults {
   std::size_t TotalRuns() const { return gold.size() + faulty.size(); }
 };
 
+/// One experiment's store entry (the trajectory is set for a gold spec only)
+/// and whether it was loaded rather than simulated.
+struct ExperimentEntry {
+  StoredRun run;
+  bool hit{false};
+};
+
+/// The one path every experiment of the grid takes, offline (Campaign::Run)
+/// and in the serve daemon, so both key, harness and store a spec the same
+/// way: under `base`, a gold spec records its trajectory (the bubble
+/// reference of its mission's faulty runs) and a faulty spec records none.
+///
+/// RunExperiment returns the store's entry for `spec`, which for a gold spec
+/// must carry the trajectory; on a miss it simulates `spec` on this thread's
+/// scratch and commits the result. `gold` supplies a faulty spec's reference
+/// trajectory and is called only on a miss, so a caller can resolve its
+/// mission's gold lazily; the trajectory must outlive the call.
+ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
+                              uav::ExperimentSpec spec,
+                              const std::function<const telemetry::Trajectory*()>& gold = {});
+
+/// The store key RunExperiment uses for `spec` under `base`.
+std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpec& spec);
+
 /// Runs the grid deterministically (results independent of thread count).
 class Campaign {
  public:

@@ -42,7 +42,7 @@ struct Server::Connection {
   }
 };
 
-/// One in-flight experiment: the spec identity being simulated plus every
+/// One in-flight experiment: the spec being simulated plus every
 /// (connection, request) waiting on it. waiters[0] is the originator that
 /// admitted the run; later entries attached via single-flight dedup.
 struct Server::Flight {
@@ -51,14 +51,9 @@ struct Server::Flight {
     std::uint64_t request_id{0};
   };
 
-  std::uint64_t key{0};
-  int mission_index{0};
-  std::uint64_t seed_base{2024};
+  api::ExperimentSpec spec;  ///< no gold reference: resolved on a store miss
   bool recovery{false};
-  std::optional<core::FaultSpec> fault;
   std::vector<Waiter> waiters;
-
-  bool IsGold() const { return !fault.has_value(); }
 };
 
 Server::Server(ServerConfig cfg)
@@ -259,6 +254,14 @@ std::string ValidateSpec(const WireSpec& s, std::size_t fleet_size) {
   return {};
 }
 
+/// The daemon's harness: the default one plus the request's recovery axis,
+/// as an offline campaign runs with or without --recovery.
+api::RunConfig Harness(bool recovery) {
+  api::RunConfig run;
+  run.recovery = recovery;
+  return run;
+}
+
 }  // namespace
 
 void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireRequest& req) {
@@ -278,26 +281,15 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
     return;
   }
 
-  // Resolve the spec's identity key under the exact harness recipe the
-  // offline campaign uses (gold runs record their trajectory, faulty runs
-  // do not), so server and campaign hit the same store entries.
-  api::RunConfig run_cfg = cfg_.run;
-  run_cfg.recovery = req.spec.recovery;
-  std::optional<core::FaultSpec> fault;
+  api::ExperimentSpec spec{fleet_[static_cast<std::size_t>(req.spec.mission_index)],
+                           req.spec.mission_index, std::nullopt, req.spec.seed_base};
   if (req.spec.has_fault) {
-    core::FaultSpec f;
-    f.type = static_cast<core::FaultType>(req.spec.fault_type);
-    f.target = static_cast<core::FaultTarget>(req.spec.fault_target);
-    f.start_time_s = req.spec.start_time_s;
-    f.duration_s = req.spec.duration_s;
-    f.magnitude = req.spec.magnitude;
-    fault = f;
-    run_cfg.record_trajectory = false;
+    spec.fault = core::FaultSpec{static_cast<core::FaultType>(req.spec.fault_type),
+                                 static_cast<core::FaultTarget>(req.spec.fault_target),
+                                 req.spec.start_time_s, req.spec.duration_s,
+                                 req.spec.magnitude};
   }
-  const std::size_t mission = static_cast<std::size_t>(req.spec.mission_index);
-  const api::ExperimentSpec espec{fleet_[mission], req.spec.mission_index, fault,
-                                  req.spec.seed_base};
-  const std::uint64_t key = core::ExperimentCacheKey(run_cfg, espec);
+  const std::uint64_t key = core::ExperimentKey(Harness(req.spec.recovery), spec);
 
   bool attached = false;
   bool overloaded = false;
@@ -310,11 +302,8 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
       attached = true;
     } else {
       auto flight = std::make_shared<Flight>();
-      flight->key = key;
-      flight->mission_index = req.spec.mission_index;
-      flight->seed_base = req.spec.seed_base;
+      flight->spec = std::move(spec);
       flight->recovery = req.spec.recovery;
-      flight->fault = fault;
       flight->waiters.push_back({conn, req.request_id});
       flights_.emplace(key, flight);
       // Admission control happens while the flight table is locked so a
@@ -346,53 +335,41 @@ void Server::SubmitOne(const std::shared_ptr<Connection>& conn, const WireReques
   }
 }
 
-std::shared_ptr<const telemetry::Trajectory> Server::GoldTrajectory(
-    int mission_index, std::uint64_t seed_base, bool recovery,
-    core::MissionResult* result_out) {
-  api::RunConfig run_cfg = cfg_.run;
-  run_cfg.recovery = recovery;
-  const std::size_t mission = static_cast<std::size_t>(mission_index);
-  const api::ExperimentSpec espec{fleet_[mission], mission_index, std::nullopt,
-                                  seed_base};
-  const std::uint64_t key = core::ExperimentCacheKey(run_cfg, espec);
+Server::GoldEntry Server::Gold(const api::ExperimentSpec& spec, bool recovery,
+                               bool* computed) {
+  api::ExperimentSpec gold_spec = spec;
+  gold_spec.fault.reset();
+  const api::RunConfig run = Harness(recovery);
+  const std::uint64_t key = core::ExperimentKey(run, gold_spec);
 
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(gold_mutex_);
       auto it = gold_cache_.find(key);
-      if (it != gold_cache_.end()) {
-        if (result_out) *result_out = it->second.result;
-        return it->second.trajectory;
-      }
+      if (it != gold_cache_.end()) return it->second;
     }
     if (gold_flight_.Begin(key) == core::SingleFlight::Role::kWaited) {
       continue;  // the leader populated (or failed to populate) the cache
     }
     // Leader: fill from the persistent store or simulate the reference run.
-    GoldEntry entry;
-    if (auto cached = store_.Load(key, /*require_trajectory=*/true)) {
-      entry.result = cached->result;
-      entry.trajectory = std::make_shared<const telemetry::Trajectory>(
-          std::move(*cached->trajectory));
+    UAVRES_TRACE_SCOPE("serve/gold-run");
+    core::ExperimentEntry gold = core::RunExperiment(store_, run, gold_spec);
+    const GoldEntry entry{
+        std::make_shared<const telemetry::Trajectory>(std::move(*gold.run.trajectory)),
+        std::move(gold.run.result)};
+    if (gold.hit) {
       UAVRES_COUNT("serve.gold.store-hits");
     } else {
-      UAVRES_TRACE_SCOPE("serve/gold-run");
-      const api::SimulationRunner runner(run_cfg);
-      auto out = runner.Run(espec);
-      entry.result = out.result;
-      if (store_.enabled()) store_.Store(key, {out.result, out.trajectory});
-      entry.trajectory =
-          std::make_shared<const telemetry::Trajectory>(std::move(out.trajectory));
       gold_computed_.fetch_add(1, std::memory_order_relaxed);
       UAVRES_COUNT("serve.gold.computed");
+      if (computed) *computed = true;
     }
     {
       std::lock_guard<std::mutex> lock(gold_mutex_);
       gold_cache_.emplace(key, entry);
     }
     gold_flight_.Finish(key);
-    if (result_out) *result_out = entry.result;
-    return entry.trajectory;
+    return entry;
   }
 }
 
@@ -419,48 +396,33 @@ void Server::RunFlight(std::uint64_t key) {
     }
   }
 
-  api::RunConfig run_cfg = cfg_.run;
-  run_cfg.recovery = flight->recovery;
-  ResultSource lead_source = ResultSource::kComputed;
+  bool computed = false;
   core::MissionResult result;
-
-  if (flight->IsGold()) {
-    const std::uint64_t before = gold_computed_.load(std::memory_order_relaxed);
-    GoldTrajectory(flight->mission_index, flight->seed_base, flight->recovery, &result);
-    lead_source = gold_computed_.load(std::memory_order_relaxed) > before
-                      ? ResultSource::kComputed
-                      : ResultSource::kStoreHit;
-    if (lead_source == ResultSource::kStoreHit) {
-      store_hits_.fetch_add(1, std::memory_order_relaxed);
-      UAVRES_COUNT("serve.dedup.store-hits");
-    }
+  if (flight->spec.IsGold()) {
+    result = Gold(flight->spec, flight->recovery, &computed).result;
   } else {
-    run_cfg.record_trajectory = false;
-    const std::size_t mission = static_cast<std::size_t>(flight->mission_index);
-    api::ExperimentSpec espec{fleet_[mission], flight->mission_index, flight->fault,
-                              flight->seed_base};
-    if (auto cached = store_.Load(key)) {
-      result = cached->result;
-      lead_source = ResultSource::kStoreHit;
-      store_hits_.fetch_add(1, std::memory_order_relaxed);
-      UAVRES_COUNT("serve.dedup.store-hits");
-    } else {
-      // Bubble violations are counted against the mission's gold reference —
-      // resolved through the gold cache so N dependent faulty runs trigger
-      // at most one reference simulation.
-      const auto gold = GoldTrajectory(flight->mission_index, flight->seed_base,
-                                       flight->recovery, nullptr);
-      espec.gold = gold.get();
-      UAVRES_TRACE_SCOPE("serve/faulty-run");
-      const api::SimulationRunner runner(run_cfg);
-      thread_local uav::RunOutput scratch;
-      runner.RunInto(espec, scratch);
-      result = scratch.result;
-      if (store_.enabled()) store_.Store(key, {result, std::nullopt});
+    // Bubble violations are counted against the mission's gold reference,
+    // resolved through the gold cache only on a store miss, so N dependent
+    // faulty runs trigger at most one reference simulation.
+    UAVRES_TRACE_SCOPE("serve/faulty-run");
+    std::shared_ptr<const telemetry::Trajectory> gold;
+    core::ExperimentEntry entry =
+        core::RunExperiment(store_, Harness(flight->recovery), flight->spec, [&] {
+          gold = Gold(flight->spec, flight->recovery).trajectory;
+          return gold.get();
+        });
+    result = std::move(entry.run.result);
+    computed = !entry.hit;
+    if (computed) {
       computed_.fetch_add(1, std::memory_order_relaxed);
       UAVRES_COUNT("serve.computed");
     }
   }
+  if (!computed) {
+    store_hits_.fetch_add(1, std::memory_order_relaxed);
+    UAVRES_COUNT("serve.dedup.store-hits");
+  }
+  const ResultSource lead_source = computed ? ResultSource::kComputed : ResultSource::kStoreHit;
 
   std::ostringstream bytes;
   core::WriteMissionResult(bytes, result);

@@ -8,18 +8,17 @@
 //
 // The pipeline per accepted spec:
 //
-//   validate -> ExperimentCacheKey -> flight table (single-flight dedup:
+//   validate -> core::ExperimentKey -> flight table (single-flight dedup:
 //   one in-flight run per key, later submitters attach as waiters) ->
 //   TaskPool (per-client round-robin fairness, bounded admission; full
-//   queue => kRejectedOverload) -> worker: persistent ResultStore lookup,
-//   else simulate (resolving the mission's gold reference through an
-//   in-memory single-flight gold cache) and commit -> fan results out to
-//   every attached waiter.
+//   queue => kRejectedOverload) -> worker: core::RunExperiment (store hit,
+//   else simulate against the mission's gold reference, resolved through an
+//   in-memory single-flight gold cache, and commit) -> fan the result out
+//   to every attached waiter.
 //
 // Results are byte-identical to an offline core::Campaign::Run of the same
-// grid: the server keys and harnesses runs with exactly the campaign's
-// RunConfig recipe (gold runs record trajectories, faulty runs do not, and
-// faulty runs count bubble violations against the same gold reference).
+// grid: both run every spec through core::RunExperiment with the default
+// harness plus the spec's recovery flag.
 #pragma once
 
 #include <atomic>
@@ -53,10 +52,6 @@ struct ServerConfig {
   /// Honor kShutdown frames (the loadgen --shutdown handshake and the CI
   /// smoke job use this; a production deployment would disable it).
   bool allow_remote_shutdown{true};
-  /// Harness configuration applied to every run. The wire spec's recovery
-  /// flag overrides `run.recovery` per request; everything else is fixed
-  /// server-side so all clients share one experiment universe.
-  api::RunConfig run;
 };
 
 /// The daemon. Lifecycle: construct -> Start() (bind + listen + spawn the
@@ -103,12 +98,16 @@ class Server {
   void RunFlight(std::uint64_t key);
   void SendStats(const std::shared_ptr<Connection>& conn);
 
-  /// Gold reference for (mission, seed_base, recovery): in-memory cache in
-  /// front of the store, single-flight so concurrent dependents trigger one
-  /// reference run. Returns nullptr only on an internal failure.
-  std::shared_ptr<const telemetry::Trajectory> GoldTrajectory(
-      int mission_index, std::uint64_t seed_base, bool recovery,
-      core::MissionResult* result_out);
+  /// One gold run: the bubble reference of its mission's faulty specs.
+  struct GoldEntry {
+    std::shared_ptr<const telemetry::Trajectory> trajectory;
+    core::MissionResult result;
+  };
+  /// The gold run of `spec`'s mission, seed base and `recovery`: an
+  /// in-memory cache in front of core::RunExperiment, single-flight so
+  /// concurrent dependents trigger one reference run. Sets `*computed` when
+  /// this call simulated it.
+  GoldEntry Gold(const api::ExperimentSpec& spec, bool recovery, bool* computed = nullptr);
 
   static void SendFrame(const std::shared_ptr<Connection>& conn,
                         telemetry::SpecMsgType type, const std::string& payload);
@@ -135,11 +134,7 @@ class Server {
   std::mutex flight_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
 
-  /// Gold reference cache (gold cache key -> trajectory + result).
-  struct GoldEntry {
-    std::shared_ptr<const telemetry::Trajectory> trajectory;
-    core::MissionResult result;
-  };
+  /// Gold reference cache (gold store key -> trajectory + result).
   std::mutex gold_mutex_;
   std::map<std::uint64_t, GoldEntry> gold_cache_;
   core::SingleFlight gold_flight_;

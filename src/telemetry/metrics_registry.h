@@ -11,7 +11,6 @@
 //     `ekf.predicts` at 250 Hz each never contend on one cache line.
 //   * `UAVRES_COUNT(name)` resolves the registry lookup once per call site
 //     (function-local static) — the steady-state cost is the shard add.
-//   * Under UAVRES_NO_TELEMETRY the macros compile out entirely.
 //
 // Counters are monotonic (increment-only) between ResetValues() calls.
 // ResetValues() zeroes values but never destroys Counter/Histogram objects,
@@ -124,19 +123,6 @@ class MetricsRegistry {
 
 }  // namespace uavres::telemetry
 
-#if defined(UAVRES_NO_TELEMETRY)
-#define UAVRES_COUNT(name) \
-  do {                     \
-  } while (0)
-#define UAVRES_COUNT_N(name, n) \
-  do {                          \
-    (void)(n);                  \
-  } while (0)
-#define UAVRES_OBSERVE(name, value, ...) \
-  do {                                   \
-    (void)(value);                       \
-  } while (0)
-#else
 /// Increment the named counter by 1. `name` must be a constant expression
 /// per call site (the lookup is cached in a function-local static).
 #define UAVRES_COUNT(name) UAVRES_COUNT_N(name, 1)
@@ -155,4 +141,3 @@ class MetricsRegistry {
             name, std::vector<double>{__VA_ARGS__});                       \
     uavres_hist_.Observe(value);                                           \
   } while (0)
-#endif

@@ -5,9 +5,8 @@
 // and serializes them as a `chrome://tracing` / Perfetto-loadable JSON
 // document. Design constraints, in order:
 //
-//   1. Zero cost when disabled. `UAVRES_TRACE_SCOPE` compiles out entirely
-//      under UAVRES_NO_TELEMETRY; at runtime a disabled recorder costs one
-//      relaxed atomic load per span.
+//   1. Near-zero cost when disabled: a disabled recorder costs one relaxed
+//      atomic load per span.
 //   2. No allocation per event. Event names are `const char*` string
 //      literals; an event is 24 bytes appended to a per-thread vector.
 //   3. Thread-safe. Campaign workers trace concurrently; buffers are
@@ -110,14 +109,6 @@ class TraceSpan {
 #define UAVRES_TRACE_CONCAT_INNER(a, b) a##b
 #define UAVRES_TRACE_CONCAT(a, b) UAVRES_TRACE_CONCAT_INNER(a, b)
 
-#if defined(UAVRES_NO_TELEMETRY)
-#define UAVRES_TRACE_SCOPE(name) \
-  do {                           \
-  } while (0)
-#define UAVRES_TRACE_INSTANT(name) \
-  do {                             \
-  } while (0)
-#else
 /// Scoped span covering the rest of the enclosing block. `name` must be a
 /// string literal (events store the pointer, not a copy).
 #define UAVRES_TRACE_SCOPE(name) \
@@ -128,4 +119,3 @@ class TraceSpan {
     auto& uavres_trace_rec_ = ::uavres::telemetry::TraceRecorder::Global(); \
     if (uavres_trace_rec_.enabled()) uavres_trace_rec_.Emit(name, 'i');     \
   } while (0)
-#endif

@@ -93,16 +93,11 @@ Snapshot BuildSnapshot(const uav::RunOutput& out,
   snap["trajectory_samples"] = std::to_string(out.trajectory.Size());
   snap["log_events"] = std::to_string(out.log.Events().size());
   snap["state_hash"] = Hex(StateHash(out));
-#ifndef UAVRES_NO_TELEMETRY
   for (const char* name : kGoldenCounters) {
     const auto b = before.count(name) ? before.at(name) : 0;
     const auto a = after.count(name) ? after.at(name) : 0;
     snap[std::string("counter.") + name] = std::to_string(a - b);
   }
-#else
-  (void)before;
-  (void)after;
-#endif
   return snap;
 }
 
@@ -142,9 +137,7 @@ void CheckAgainstGolden(const std::string& file, const uav::RunOutput& out,
   ASSERT_FALSE(golden.empty()) << "missing or empty golden file " << path
                                << " — run with UAVRES_UPDATE_GOLDEN=1 to record it";
   for (const auto& [key, value] : golden) {
-    // A snapshot recorded with telemetry enabled still works against a
-    // UAVRES_NO_TELEMETRY build: counter deltas simply aren't compared.
-    if (!actual.count(key)) continue;
+    ASSERT_TRUE(actual.count(key)) << "golden key '" << key << "' missing from the run";
     EXPECT_EQ(actual.at(key), value) << "golden mismatch for '" << key << "' in " << file;
   }
   for (const auto& [key, value] : actual) {

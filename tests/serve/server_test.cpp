@@ -6,7 +6,8 @@
 //     never deadlocks the accepted work,
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
-//   * byte-identity — a served result equals the offline library run,
+//   * byte-identity — a served result equals the offline library run, and
+//     a daemon over an offline campaign's store answers from it,
 //   * connection reaping — clients that come and go leave no fds behind,
 //   * accept backoff — out of descriptors, the accept loop sleeps instead of
 //     spinning on the connection waiting in its backlog.
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/campaign.h"
 #include "serve/client.h"
 #include "serve/net.h"
 
@@ -286,6 +288,47 @@ TEST(ServeServer, ServedResultIsByteIdenticalToOfflineRun) {
   std::ostringstream os;
   core::WriteMissionResult(os, offline.result);
   EXPECT_EQ(outcomes[0].result_bytes, os.str());
+}
+
+TEST(ServeServer, AnswersOfflineCampaignFromTheStore) {
+  const std::string dir = MakeCacheDir("offline");
+  const api::Campaign campaign(
+      api::CampaignConfig::Builder().Missions(1).Durations({2.0}).CacheDir(dir).Build());
+  const api::CampaignResults offline = campaign.Run();
+  const auto grid = campaign.GridFaults();
+  ASSERT_EQ(offline.faulty.size(), grid.size());
+
+  // The gold spec, then the mission's faulty grid, in offline order.
+  std::vector<WireSpec> specs(1 + grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    WireSpec& w = specs[1 + i];
+    w.has_fault = true;
+    w.fault_type = static_cast<std::uint8_t>(grid[i].type);
+    w.fault_target = static_cast<std::uint8_t>(grid[i].target);
+    w.start_time_s = grid[i].start_time_s;
+    w.duration_s = grid[i].duration_s;
+    w.magnitude = grid[i].magnitude;
+  }
+
+  ServerConfig cfg;
+  cfg.cache_dir = dir;
+  TestServer server(cfg);
+  Client client(ClientOpts(server.port(), "offline"));
+  std::string err;
+  ASSERT_TRUE(client.Connect(&err)) << err;
+  std::vector<Client::Outcome> outcomes;
+  ASSERT_TRUE(client.SubmitAndWait(specs, outcomes, &err)) << err;
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << "spec " << i << ": " << outcomes[i].reject_detail;
+    EXPECT_EQ(outcomes[i].source, telemetry::ResultSource::kStoreHit) << "spec " << i;
+    std::ostringstream os;
+    core::WriteMissionResult(os, i == 0 ? offline.gold[0] : offline.faulty[i - 1]);
+    EXPECT_EQ(outcomes[i].result_bytes, os.str()) << "spec " << i;
+  }
+  const auto stats = server->stats();
+  EXPECT_EQ(stats.computed, 0u);
+  EXPECT_EQ(stats.gold_computed, 0u);
 }
 
 TEST(ServeServer, StatsRequestReportsCountersAndMetrics) {

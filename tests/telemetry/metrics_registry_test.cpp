@@ -186,7 +186,6 @@ TEST(MetricsRegistry, WriteJsonEmitsBothSections) {
   EXPECT_NE(doc.find("\"test.json.hist\""), std::string::npos);
 }
 
-#ifndef UAVRES_NO_TELEMETRY
 TEST(MetricsMacros, CountAndObserveHitTheGlobalRegistry) {
   auto& reg = MetricsRegistry::Global();
   const auto before = reg.GetCounter("test.macro.count").Value();
@@ -198,7 +197,6 @@ TEST(MetricsMacros, CountAndObserveHitTheGlobalRegistry) {
   UAVRES_OBSERVE("test.macro.hist", 0.5, 1.0);
   EXPECT_EQ(reg.GetHistogram("test.macro.hist", {1.0}).Count(), hits_before + 1);
 }
-#endif
 
 }  // namespace
 }  // namespace uavres::telemetry

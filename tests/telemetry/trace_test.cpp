@@ -264,11 +264,7 @@ TEST_F(TraceTest, ConcurrentSpansRoundTripBalancedPerThread) {
   const JsonValue doc = ParseRecorder(TraceRecorder::Global(), &ok);
   ASSERT_TRUE(ok);
   const JsonArray& events = doc.AsObject().at("traceEvents").AsArray();
-#ifndef UAVRES_NO_TELEMETRY
   constexpr std::size_t kEventsPerIter = 5;  // 2B + 2E + 1 instant
-#else
-  constexpr std::size_t kEventsPerIter = 4;  // UAVRES_TRACE_INSTANT compiles out
-#endif
   EXPECT_EQ(events.size(),
             static_cast<std::size_t>(kThreads) * kSpansPerThread * kEventsPerIter);
 

@@ -3,24 +3,51 @@
 // duration) combination. Not part of the public example set; invaluable
 // when tuning the estimator/failsafe interplay.
 //
-//   ./debug_probe [mission] [acc|gyro|imu] [type] [duration_s]
+//   ./debug_probe [mission 0-9] [acc|gyro|imu] [type] [duration_s]
+//
+// An unknown fault token, mission index or duration exits 2.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
+
 #include "core/scenario.h"
-#include "uav/uav.h"
 #include "uav/simulation_runner.h"
+#include "uav/uav.h"
+
 using namespace uavres;
+
+namespace {
+
+/// True when all of `s` parses as `value`.
+template <class T>
+bool ParseFull(std::string_view s, T& value) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  return !s.empty() && ec == std::errc{} && end == s.data() + s.size();
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  auto fleet = core::BuildValenciaScenario();
-  const auto& spec = fleet[argc>1?std::atoi(argv[1]):0];
+  const auto fleet = core::BuildValenciaScenario();
+  int mission = 0;
+  double duration = 2.0;
+  const auto target = core::ParseFaultTarget(argc > 2 ? argv[2] : "gyro");
+  const auto type = core::ParseFaultType(argc > 3 ? argv[3] : "zeros");
+  if ((argc > 1 && !ParseFull(argv[1], mission)) || mission < 0 ||
+      mission >= static_cast<int>(fleet.size()) || !target || !type ||
+      (argc > 4 && !ParseFull(argv[4], duration))) {
+    std::fprintf(stderr,
+                 "usage: debug_probe [mission 0-9] [acc|gyro|imu]\n"
+                 "                   [fixed|zeros|freeze|random|min|max|noise] [duration_s]\n");
+    return 2;
+  }
+  const auto& spec = fleet[static_cast<std::size_t>(mission)];
   core::FaultSpec fault;
-  const char* tgt = argc>2?argv[2]:"gyro";
-  const char* typ = argc>3?argv[3]:"zeros";
-  fault.target = !strcmp(tgt,"acc")?core::FaultTarget::kAccelerometer:!strcmp(tgt,"gyro")?core::FaultTarget::kGyrometer:core::FaultTarget::kImu;
-  fault.type = !strcmp(typ,"fixed")?core::FaultType::kFixed:!strcmp(typ,"zeros")?core::FaultType::kZeros:!strcmp(typ,"freeze")?core::FaultType::kFreeze:!strcmp(typ,"random")?core::FaultType::kRandom:!strcmp(typ,"min")?core::FaultType::kMin:!strcmp(typ,"max")?core::FaultType::kMax:core::FaultType::kNoise;
-  fault.duration_s = argc>4?std::atof(argv[4]):2.0;
-  uav::Uav u(uav::MakeUavConfig(spec), spec.plan, fault, uav::ExperimentSeed(2024, argc>1?std::atoi(argv[1]):0, fault));
+  fault.target = *target;
+  fault.type = *type;
+  fault.duration_s = duration;
+  uav::Uav u(uav::MakeUavConfig(spec), spec.plan, fault,
+             uav::ExperimentSeed(2024, mission, fault));
   double next_print = 88.0;
   while (u.time() < 120.0 && !u.crash_detector().crashed()) {
     u.Step();
