@@ -246,8 +246,7 @@ int CmdCampaign(const app::CommandLine& cl) {
   try {
     cfg = builder.Build();
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "campaign: %s\n", e.what());
-    return 2;
+    throw app::UsageError(e.what());
   }
   const api::Campaign campaign(cfg);
 
@@ -308,7 +307,6 @@ int CmdConvoy(const app::CommandLine& cl) {
   const int drones = cl.FlagInt("drones", 3);
   const auto fleet = uspace::BuildConvoyScenario(drones, spacing);
   uspace::FleetRunConfig cfg;
-  cfg.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
   core::FaultSpec fault;
   fault.target = core::FaultTarget::kAccelerometer;
   fault.type = core::FaultType::kFixed;
@@ -517,11 +515,7 @@ int CmdReplay(const app::CommandLine& cl) {
 int CmdFuzz(const app::CommandLine& cl) {
   if (const auto file = cl.Flag("fork-from")) {
     const auto snap = telemetry::LoadSnapshotFile(*file);
-    if (!snap) {
-      std::fprintf(stderr, "fuzz: cannot read %s (missing or corrupt snapshot)\n",
-                   file->c_str());
-      return 2;
-    }
+    if (!snap) throw app::UsageError("cannot read " + *file + ": missing or corrupt snapshot");
     const int runs = cl.FlagInt("runs", 16);
     const std::uint64_t seed = cl.FlagUint64("seed", 1);
     const auto rep = app::RunForkFuzz(*snap, runs, seed);
@@ -540,10 +534,7 @@ int CmdFuzz(const app::CommandLine& cl) {
   if (const auto file = cl.Flag("replay")) {
     std::string err;
     const auto c = app::LoadRepro(*file, &err);
-    if (!c) {
-      std::fprintf(stderr, "fuzz: %s\n", err.c_str());
-      return 2;
-    }
+    if (!c) throw app::UsageError(err);
     app::FuzzOptions opts;
     opts.out_dir.clear();  // a replay never re-minimizes
     const app::Fuzzer fuzzer(opts);
@@ -639,22 +630,14 @@ int CmdFleet(const app::CommandLine& cl) {
   if (const auto f = cl.Flag("fault")) spec.fault = ParseFleetFault(*f);
   spec.faulted_drone = cl.FlagInt("faulted-drone", spec.num_drones / 2);
   spec.recovery = cl.FlagOnOff("recovery", false);
-  if (spec.num_drones <= 0) {
-    std::fprintf(stderr, "fleet: --drones must be positive\n");
-    return 2;
-  }
-  if (spec.fault &&
-      (spec.faulted_drone < 0 || spec.faulted_drone >= spec.num_drones)) {
-    std::fprintf(stderr, "fleet: --faulted-drone %d outside fleet of %d\n",
-                 spec.faulted_drone, spec.num_drones);
-    return 2;
+  if (spec.num_drones <= 0) throw app::UsageError("--drones must be positive");
+  if (spec.fault && (spec.faulted_drone < 0 || spec.faulted_drone >= spec.num_drones)) {
+    throw app::UsageError("--faulted-drone " + std::to_string(spec.faulted_drone) +
+                          " outside fleet of " + std::to_string(spec.num_drones));
   }
 
   uspace::FleetCampaignConfig cfg;
   cfg.knobs.num_threads = cl.FlagInt("threads", 0);
-  if (cl.FlagWord("broadphase", {"grid", "brute"}) == "brute") {
-    cfg.knobs.broadphase = uspace::BroadphaseMode::kBruteForce;
-  }
   if (const char* env = std::getenv("UAVRES_CACHE_DIR")) cfg.cache_dir = env;
   if (const auto dir = cl.Flag("cache-dir")) cfg.cache_dir = *dir;
   if (cl.HasFlag("no-cache")) cfg.cache_dir.clear();
@@ -722,37 +705,36 @@ int CmdFleet(const app::CommandLine& cl) {
                  static_cast<unsigned long long>(cs.stores));
   }
 
-  // --oracle: re-run the experiment on one thread with the brute-force
-  // broadphase — the independent check on both the parallel schedule and
-  // the grid broadphase.
+  // --oracle: re-run the experiment on one thread, the independent check on
+  // the parallel schedule (and, for a cached record, on the store): the two
+  // records' WriteFleetRecord bytes must be equal.
   if (cl.HasFlag("oracle")) {
-    uspace::FleetExecutionKnobs knobs;
-    knobs.num_threads = 1;
-    knobs.broadphase = uspace::BroadphaseMode::kBruteForce;
-    const telemetry::FleetRecord ref = uspace::RunFleetExperiment(spec, knobs);
-    bool ok = ref.drones.size() == rec.drones.size() && ref.conflicts == rec.conflicts &&
-              ref.alerts == rec.alerts &&
-              ref.instants_in_conflict == rec.instants_in_conflict &&
-              ref.reports_published == rec.reports_published &&
-              ref.reports_dropped == rec.reports_dropped;
-    for (std::size_t i = 0; ok && i < ref.drones.size(); ++i) {
-      ok = ref.drones[i].outcome == rec.drones[i].outcome &&
-           ref.drones[i].flight_duration_s == rec.drones[i].flight_duration_s;
-    }
-    std::printf("oracle     : one-thread brute-force run %s\n",
-                ok ? "MATCH (outcomes, durations, conflict stats)" : "MISMATCH");
+    const telemetry::FleetRecord ref = uspace::RunFleetExperiment(spec, {.num_threads = 1});
+    const bool ok = telemetry::Encode(ref) == telemetry::Encode(rec);
+    std::printf("oracle     : one-thread run %s\n",
+                ok ? "MATCH (record bytes)" : "MISMATCH");
     if (!ok) return 1;
   }
   return 0;
 }
 
+/// `--port`, which must name a TCP port (0 lets the kernel pick one).
+std::uint16_t FlagPort(const app::CommandLine& cl, std::uint16_t def) {
+  const int port = cl.FlagInt("port", def);
+  if (port < 0 || port > 65535) {
+    throw app::UsageError("--port " + std::to_string(port) + " outside 0-65535");
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
 int CmdServe(const app::CommandLine& cl) {
   serve::ServerConfig cfg;
   cfg.host = cl.Flag("host").value_or(cfg.host);
-  cfg.port = static_cast<std::uint16_t>(cl.FlagInt("port", cfg.port));
+  cfg.port = FlagPort(cl, cfg.port);
   cfg.num_threads = cl.FlagInt("threads", 0);
-  cfg.queue_capacity =
-      static_cast<std::size_t>(cl.FlagInt("queue", static_cast<int>(cfg.queue_capacity)));
+  const int queue = cl.FlagInt("queue", static_cast<int>(cfg.queue_capacity));
+  if (queue < 1) throw app::UsageError("--queue must be at least 1");
+  cfg.queue_capacity = static_cast<std::size_t>(queue);
   cfg.cache_dir = cl.Flag("cache-dir").value_or("");
   if (cl.HasFlag("no-remote-shutdown")) cfg.allow_remote_shutdown = false;
 
@@ -785,7 +767,7 @@ int CmdServe(const app::CommandLine& cl) {
 int CmdLoadgen(const app::CommandLine& cl) {
   serve::LoadgenConfig cfg;
   cfg.host = cl.Flag("host").value_or(cfg.host);
-  cfg.port = static_cast<std::uint16_t>(cl.FlagInt("port", cfg.port));
+  cfg.port = FlagPort(cl, cfg.port);
   cfg.clients = cl.FlagInt("clients", cfg.clients);
   cfg.specs = cl.FlagInt("specs", cfg.specs);
   cfg.batch = cl.FlagInt("batch", cfg.batch);
@@ -861,18 +843,18 @@ const Command kCommands[] = {
      "[--scenario convoy|valencia] [--drones N] [--spacing M] [--speed KMH]\n"
      "       [--leg M] [--interval S] [--fault acc|gyro|imu:type:duration]\n"
      "       [--faulted-drone K] [--recovery [on|off]] [--drop P] [--delay S]\n"
-     "       [--relaunch-horizon S] [--seed N] [--threads N] [--broadphase grid|brute]\n"
-     "       [--oracle] [--no-baseline] [--cache-dir DIR] [--no-cache]",
+     "       [--relaunch-horizon S] [--seed N] [--threads N] [--oracle]\n"
+     "       [--no-baseline] [--cache-dir DIR] [--no-cache]",
      "fleet-scale airspace experiment",
      "Runs N drones, one vehicle each, stepped per tracking interval on the\n"
-     "shared-cursor scheduler with a uniform-grid conflict broadphase, and\n"
-     "reports systemic impact vs the fault-free baseline: conflict/alert\n"
-     "counts, cascade size, min-separation distribution and airspace\n"
-     "throughput. --relaunch-horizon S keeps the airspace full by relaunching\n"
-     "ended flights until T=S (continuous traffic). Results are cached by\n"
-     "fleet spec (also via UAVRES_CACHE_DIR). --oracle re-runs the spec on\n"
-     "one thread with the brute-force broadphase and checks that outcomes,\n"
-     "durations and conflict stats match. See DESIGN.md §18.",
+     "shared-cursor scheduler, checks every drone pair for conflicts at each\n"
+     "tracking instant, and reports systemic impact vs the fault-free\n"
+     "baseline: conflict/alert counts, cascade size, min-separation\n"
+     "distribution and airspace throughput. --relaunch-horizon S keeps the\n"
+     "airspace full by relaunching ended flights until T=S (continuous\n"
+     "traffic). Results are cached by fleet spec (also via UAVRES_CACHE_DIR).\n"
+     "--oracle re-runs the spec on one thread and checks that its record is\n"
+     "byte-identical. See DESIGN.md §18.",
      CmdFleet},
     {"convoy", "[--spacing M] [--drones N]", "multi-UAV U-space conflict demo", "",
      CmdConvoy},
@@ -953,26 +935,6 @@ int CmdHelp(const uavres::app::CommandLine& cl) {
   return 0;
 }
 
-int Dispatch(const uavres::app::CommandLine& cl) {
-  if (cl.command == "help" || cl.command == "--help" || cl.command == "-h") {
-    return CmdHelp(cl);
-  }
-  if (const Command* c = FindCommand(cl.command)) {
-    try {
-      cl.CheckFlags(std::string(c->args) + " " + kGlobalFlags);
-      return c->run(cl);
-    } catch (const uavres::app::UsageError& e) {
-      std::fprintf(stderr, "uavres %s: %s (see `uavres help %s`)\n", c->name, e.what(),
-                   c->name);
-      return 2;
-    }
-  }
-  if (!cl.command.empty()) {
-    std::fprintf(stderr, "uavres: unknown command '%s'\n\n", cl.command.c_str());
-  }
-  return PrintCommandIndex();
-}
-
 /// Writes `text_fn(os)` to `path`; downgrades failures to a warning so a
 /// bad output path never discards the completed command's work.
 template <typename WriteFn>
@@ -986,30 +948,53 @@ void WriteObservabilityFile(const std::string& path, const char* what, WriteFn&&
   std::fprintf(stderr, "wrote %s -> %s\n", what, path.c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const auto cl = uavres::app::ParseCommandLine(args);
-
-  // Tracing must be live before the command runs; both outputs are written
-  // after it finishes (and after campaign workers have joined).
-  const auto trace_out = cl.Flag("trace-out");
-  const auto metrics_out = cl.Flag("metrics-out");
-  if (trace_out) uavres::telemetry::TraceRecorder::Global().Enable();
-
-  const int rc = Dispatch(cl);
-
-  if (trace_out) {
+/// Writes the --trace-out and --metrics-out files, after the command's work
+/// (and after campaign workers have joined).
+void WriteObservabilityFiles(const uavres::app::CommandLine& cl) {
+  if (const auto trace_out = cl.Flag("trace-out")) {
     uavres::telemetry::TraceRecorder::Global().Disable();
     WriteObservabilityFile(*trace_out, "trace", [](std::ostream& os) {
       uavres::telemetry::TraceRecorder::Global().WriteChromeTrace(os);
     });
   }
-  if (metrics_out) {
+  if (const auto metrics_out = cl.Flag("metrics-out")) {
     WriteObservabilityFile(*metrics_out, "metrics", [](std::ostream& os) {
       uavres::telemetry::MetricsRegistry::Global().WriteJson(os);
     });
   }
-  return rc;
+}
+
+int Dispatch(const uavres::app::CommandLine& cl) {
+  if (cl.command == "help" || cl.command == "--help" || cl.command == "-h") {
+    return CmdHelp(cl);
+  }
+  if (const Command* c = FindCommand(cl.command)) {
+    try {
+      cl.CheckFlags(std::string(c->args) + " " + kGlobalFlags);
+      const int rc = c->run(cl);
+      // Reached only past argument checking: a usage error leaves any file
+      // at either path untouched.
+      WriteObservabilityFiles(cl);
+      return rc;
+    } catch (const uavres::app::UsageError& e) {
+      std::fprintf(stderr, "uavres %s: %s (see `uavres help %s`)\n", c->name, e.what(),
+                   c->name);
+      return 2;
+    }
+  }
+  if (!cl.command.empty()) {
+    std::fprintf(stderr, "uavres: unknown command '%s'\n\n", cl.command.c_str());
+  }
+  return PrintCommandIndex();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::vector<std::string> args(argv + 1, argv + argc);
+  const auto cl = uavres::app::ParseCommandLine(args);
+  // Tracing must be live before the command runs; Dispatch writes both
+  // outputs once the command finishes.
+  if (cl.HasFlag("trace-out")) uavres::telemetry::TraceRecorder::Global().Enable();
+  return Dispatch(cl);
 }

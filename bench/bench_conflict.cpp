@@ -19,7 +19,6 @@ int main() {
   std::printf("Convoy: 3 drones, %.0f m lanes, %.0f km/h, faults on the middle drone\n\n",
               lane_spacing, fleet[0].cruise_speed_kmh);
   uspace::FleetRunConfig base;
-  base.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
 
   // Reference.
   {

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   };
 
   uspace::FleetRunConfig clean;
-  clean.broadphase = uspace::BroadphaseMode::kBruteForce;  // exact min separation
   report("=== fault-free convoy ===", uspace::FleetRunner(clean).Run(fleet, 2024));
 
   uspace::FleetRunConfig faulted = clean;

@@ -9,9 +9,9 @@
 // value that fully determines a fleet run's result, hashable into a stable
 // 64-bit cache key (FleetCacheKey) so fleet runs dedupe through the
 // ResultStore exactly like single-mission experiments. The spec describes
-// WHAT is simulated; execution strategy (thread count, broadphase mode) is
-// deliberately excluded — the fleet runner guarantees results are
-// byte-identical across them, which is what makes the cache sound.
+// WHAT is simulated; execution strategy (the thread count) is deliberately
+// excluded — the fleet runner guarantees results are byte-identical across
+// it, which is what makes the cache sound.
 #pragma once
 
 #include <cstdint>

@@ -83,17 +83,11 @@ TaskPool::~TaskPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool TaskPool::TrySubmit(std::uint64_t client, std::function<void()> fn, int priority) {
+bool TaskPool::TrySubmit(std::uint64_t client, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || queued_ + running_ >= capacity_) return false;
-    auto& q = queues_[client];
-    // Priority is a per-client ordering hint: insert after the last task of
-    // >= priority, so equal priorities stay FIFO and the common priority-0
-    // case is a plain push_back.
-    auto pos = q.end();
-    while (pos != q.begin() && std::prev(pos)->priority < priority) --pos;
-    q.insert(pos, Task{std::move(fn), priority});
+    queues_[client].push_back(std::move(fn));
     ++queued_;
   }
   cv_work_.notify_one();
@@ -130,7 +124,7 @@ void TaskPool::WorkerLoop() {
     --queued_;
     ++running_;
     lock.unlock();
-    task.fn();
+    task();
     lock.lock();
     --running_;
     if (queued_ == 0 && running_ == 0) cv_idle_.notify_all();

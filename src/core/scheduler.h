@@ -65,8 +65,8 @@ int ResolvedThreadCount(const SchedulerOptions& opts);
 ///   * Per-client round-robin FAIRNESS: each client tag owns a FIFO queue,
 ///     and idle workers take the next task from the next non-empty client
 ///     after the previously served one — a client flooding thousands of
-///     specs cannot starve another's two. Within one client, higher
-///     `priority` values run first (FIFO among equals).
+///     specs cannot starve another's two. One client's tasks run in the
+///     order they were submitted.
 ///   * ADMISSION CONTROL: at most `queue_capacity` tasks may be queued or
 ///     running at once. TrySubmit never blocks — over capacity it returns
 ///     false and the caller surfaces explicit backpressure (the serve
@@ -87,7 +87,7 @@ class TaskPool {
 
   /// Admits `fn` under `client`'s queue, or returns false when the pool is
   /// at capacity (or stopping). `fn` must not throw.
-  bool TrySubmit(std::uint64_t client, std::function<void()> fn, int priority = 0);
+  bool TrySubmit(std::uint64_t client, std::function<void()> fn);
 
   /// Blocks until every admitted task has finished (new submissions may
   /// keep arriving; Drain returns at a moment the pool was empty).
@@ -99,10 +99,7 @@ class TaskPool {
   int num_threads() const { return num_threads_; }
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    int priority{0};
-  };
+  using Task = std::function<void()>;
 
   void WorkerLoop();
   bool PopNext(Task& out);  ///< under mutex_, via cv_ wait

@@ -22,8 +22,9 @@
 namespace uavres::telemetry {
 
 /// Bump on any layout OR fleet-semantics change the spec key cannot
-/// express. v1: initial fleet engine (PR 10).
-inline constexpr std::uint32_t kFleetRecordSchemaVersion = 1;
+/// express. v1: initial fleet engine. v2: every pair evaluated, so the
+/// broadphase horizon field is gone and min separation is exact.
+inline constexpr std::uint32_t kFleetRecordSchemaVersion = 2;
 
 /// One drone's outcome within a fleet run. `outcome` carries the
 /// core::MissionOutcome enum value as a raw int (flat-struct rule).
@@ -59,7 +60,6 @@ struct FleetRecord {
   std::int32_t alerts{0};
   std::int32_t instants_in_conflict{0};
   double min_separation_m{0.0};
-  double broadphase_horizon_m{0.0};
   /// Separation-event cascade: conflict-graph components and secondary
   /// (neither-drone-faulted) events — how far one bad flight spreads.
   std::int32_t cascade_size{0};      ///< largest connected conflict-graph component
@@ -98,11 +98,10 @@ template <class V>
 void Fields(V& v, FleetRecord& r) {
   v(Expect{Magic("UVFL")}, Expect{kFleetRecordSchemaVersion}, r.num_drones, r.sim_time_s,
     Capped{r.drones, kMaxFleetDrones}, Capped{r.events, kMaxFleetEvents}, r.conflicts,
-    r.alerts, r.instants_in_conflict, r.min_separation_m, r.broadphase_horizon_m,
-    r.cascade_size, r.secondary_conflicts, r.separation_samples, r.separation_p5_m,
-    r.separation_p50_m, r.reports_published, r.reports_dropped, r.reports_quarantined,
-    r.missions_completed, r.relaunches, r.throughput_missions_per_hour,
-    Expect{kArtifactFooter});
+    r.alerts, r.instants_in_conflict, r.min_separation_m, r.cascade_size,
+    r.secondary_conflicts, r.separation_samples, r.separation_p5_m, r.separation_p50_m,
+    r.reports_published, r.reports_dropped, r.reports_quarantined, r.missions_completed,
+    r.relaunches, r.throughput_missions_per_hour, Expect{kArtifactFooter});
 }
 
 /// Serialize one record (framed, versioned).

@@ -14,27 +14,13 @@
 // Outer radii follow Eq. 2-3 per drone, driven by the tracked airspeed and
 // per-interval distance. Eq. 2-3 is a per-drone recurrence, so the detector
 // keeps ONE OuterBubble per drone, advanced once per tracking instant in an
-// O(N) pass; pair evaluation is then stateless in the bubble radii, which
-// is what lets the broadphase skip far pairs without changing any event.
+// O(N) pass; pair evaluation is then stateless in the bubble radii.
 //
-// Two broadphase modes share one evaluation path:
-//
-//   * kBruteForce — every active pair, every instant (O(N²)). The
-//     correctness oracle; also the only mode whose min_separation_m spans
-//     pairs at arbitrary range.
-//   * kUniformGrid — a uniform grid over the horizontal plane, rebuilt each
-//     instant with cell size >= 2 * max outer radius (and >= 50 m), so
-//     every pair that could possibly conflict or alert lands in the same or
-//     an adjacent cell (O(N·k)). Pairs with an open event are always
-//     re-evaluated so falling edges close exactly as in brute force.
-//     Conflict/alert events are identical to brute force by construction;
-//     min_separation_m is censored at the interaction horizon (exact
-//     whenever the true minimum is within the horizon, see
-//     ConflictStats::broadphase_horizon_m).
-//
-// Pair bookkeeping lives in a flat arena (vector + open-addressed index by
-// packed pair id) and records are created lazily on the first conflict or
-// alert edge — O(eventful pairs), not O(N²), in either mode.
+// Every active pair is evaluated at every instant (O(N²) distance checks),
+// so min_separation_m and the per-instant minima are exact at any range.
+// Pair bookkeeping lives in a flat arena (vector + index by packed pair id)
+// and records are created lazily on the first conflict or alert edge —
+// O(eventful pairs), not O(N²).
 #pragma once
 
 #include <cstdint>
@@ -50,19 +36,6 @@ namespace uavres::uspace {
 enum class ConflictSeverity { kConflict, kAlert };
 
 const char* ToString(ConflictSeverity s);
-
-/// Pair-candidate generation strategy (see file header).
-enum class BroadphaseMode { kBruteForce, kUniformGrid };
-
-const char* ToString(BroadphaseMode m);
-
-/// Detector tuning. Defaults preserve the original exhaustive semantics.
-struct ConflictDetectorConfig {
-  BroadphaseMode broadphase{BroadphaseMode::kBruteForce};
-  /// Record the per-instant minimum separation over evaluated pairs (the
-  /// min-separation distribution source for fleet experiments).
-  bool record_instant_min_separation{false};
-};
 
 /// One separation event (entry into a conflict state for a drone pair).
 struct ConflictEvent {
@@ -82,20 +55,13 @@ struct ConflictStats {
   /// Closest separation over every evaluated pair-instant; 0.0 when no pair
   /// was ever evaluated (empty fleet, single drone, all reports dropped).
   double min_separation_m{0.0};
-  /// 0 when every pair was evaluated exhaustively (brute force). Otherwise
-  /// the smallest interaction horizon used by the broadphase across the
-  /// run: min_separation_m is exact if below it, censored at it otherwise.
-  double broadphase_horizon_m{0.0};
-  std::int64_t pairs_evaluated{0};  ///< narrowphase pair evaluations
-  std::int64_t pairs_culled{0};     ///< pairs skipped by the broadphase
+  std::int64_t pairs_evaluated{0};  ///< pair evaluations over the run
 };
 
 /// Evaluates registered pairs at each tracking instant.
 class ConflictDetector {
  public:
-  explicit ConflictDetector(const Tracker* tracker,
-                            const ConflictDetectorConfig& cfg = {})
-      : tracker_(tracker), cfg_(cfg) {}
+  explicit ConflictDetector(const Tracker* tracker) : tracker_(tracker) {}
 
   /// Evaluate every active pair at time t. Call once per tracking instant,
   /// after all drones' reports for that instant were ingested.
@@ -104,9 +70,9 @@ class ConflictDetector {
   const std::vector<ConflictEvent>& events() const { return events_; }
   ConflictStats stats() const;
 
-  /// Per-instant minimum separation over evaluated pairs, one entry per
-  /// Step() where at least one pair was evaluated. Empty unless
-  /// `cfg.record_instant_min_separation` is set.
+  /// Per-instant minimum separation over evaluated pairs (the fleet
+  /// min-separation distribution source), one entry per Step() where at
+  /// least one pair was evaluated.
   const std::vector<double>& instant_min_separation() const {
     return instant_min_sep_;
   }
@@ -128,15 +94,12 @@ class ConflictDetector {
   void EvaluatePair(const ActiveTrack& ta, const ActiveTrack& tb,
                     double radius_a, double radius_b, double t,
                     bool& any_conflict, double& instant_min);
-  void CollectGridCandidates(double cell_m);
 
   const Tracker* tracker_;  // not owned
-  ConflictDetectorConfig cfg_;
 
   // Flat pair-state arena: records indexed by a packed (a,b) key, created
   // only when a pair first conflicts or alerts.
   std::vector<PairRecord> arena_;
-  std::vector<std::uint64_t> arena_keys_;  ///< key of each arena record
   std::unordered_map<std::uint64_t, std::int32_t> pair_index_;
 
   /// One Eq. 2-3 recurrence per drone, advanced each instant the drone has
@@ -146,17 +109,12 @@ class ConflictDetector {
   std::vector<ConflictEvent> events_;
   int instants_in_conflict_{0};
   double min_separation_{1e18};
-  bool any_pair_evaluated_{false};
-  double min_horizon_{1e18};
   std::int64_t pairs_evaluated_{0};
-  std::int64_t pairs_culled_{0};
   std::vector<double> instant_min_sep_;
 
   // Per-Step scratch, reused to keep the steady-state step allocation-free.
   std::vector<ActiveTrack> snapshot_;
   std::vector<double> radii_;
-  std::vector<std::uint64_t> candidates_;  ///< packed (i,j) snapshot indices
-  std::vector<std::pair<std::int64_t, std::int32_t>> cells_;  ///< (cell, idx)
 };
 
 }  // namespace uavres::uspace

@@ -59,7 +59,6 @@ FleetRunConfig MakeFleetRunConfig(const FleetExperimentSpec& spec,
   cfg.recovery = spec.recovery;
   cfg.relaunch_horizon_s = spec.relaunch_horizon_s;
   cfg.num_threads = knobs.num_threads;
-  cfg.broadphase = knobs.broadphase;
   return cfg;
 }
 
@@ -124,7 +123,6 @@ telemetry::FleetRecord ToFleetRecord(const FleetExperimentSpec& spec,
   r.alerts = out.conflicts.alerts;
   r.instants_in_conflict = out.conflicts.instants_in_conflict;
   r.min_separation_m = out.conflicts.min_separation_m;
-  r.broadphase_horizon_m = out.conflicts.broadphase_horizon_m;
 
   // Cascade: largest connected component of the conflict graph (alerts
   // included — an alert already means the inner safety volumes overlapped),

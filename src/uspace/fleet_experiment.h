@@ -6,9 +6,9 @@
 // airspace scenario, runs on the FleetRunner, and serializes to a
 // telemetry::FleetRecord keyed by core::FleetCacheKey — so `uavres fleet`,
 // benches and sweeps dedupe airspace experiments through the ResultStore
-// exactly like single-mission campaigns. Execution knobs (threads,
-// broadphase) are result-neutral by the FleetRunner contract, which is what
-// makes caching across them sound.
+// exactly like single-mission campaigns. The one execution knob, the thread
+// count, is result-neutral by the FleetRunner contract, which is what makes
+// caching across it sound.
 #pragma once
 
 #include <string>
@@ -24,7 +24,6 @@ namespace uavres::uspace {
 /// Result-neutral execution strategy for one fleet run.
 struct FleetExecutionKnobs {
   int num_threads{0};  ///< 0 = hardware concurrency
-  BroadphaseMode broadphase{BroadphaseMode::kUniformGrid};
 };
 
 /// Expands a fleet spec to its concrete drone fleet:

@@ -55,10 +55,7 @@ FleetRunOutput FleetRunner::Run(const std::vector<DroneSpec>& fleet,
   Tracker tracker;
   Broker broker(cfg_.link, math::Rng{math::HashCombine(seed_base, 0xB20CE2)});
   broker.Subscribe([&tracker](const TrackReport& r) { tracker.Ingest(r); });
-  ConflictDetectorConfig det_cfg;
-  det_cfg.broadphase = cfg_.broadphase;
-  det_cfg.record_instant_min_separation = true;
-  ConflictDetector detector(&tracker, det_cfg);
+  ConflictDetector detector(&tracker);
 
   std::vector<Flight> flights;
   std::vector<int> slot_flight;  ///< slot (initial drone index) -> current flight id

@@ -18,9 +18,8 @@
 // Determinism contract: a fleet run's output is byte-identical across
 // every thread count — flights never share mutable state inside an
 // interval, the boundary phase is serial and ordered, and results land in
-// index-addressed slots — and across broadphase modes for everything but
-// min_separation_m, which the grid broadphase censors (see conflict.h).
-// tests/uspace/fleet_runner_test.cpp and the fleet golden lock this down.
+// index-addressed slots. tests/uspace/fleet_runner_test.cpp and the fleet
+// golden lock this down.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,6 @@ struct FleetRunConfig {
 
   // Execution strategy — result-neutral by contract.
   int num_threads{0};  ///< 0 = hardware concurrency
-  BroadphaseMode broadphase{BroadphaseMode::kUniformGrid};
 
   /// > 0: relaunch a fresh flight in a drone's slot whenever its flight
   /// ends before this sim time (continuous traffic; the airspace-throughput

@@ -74,7 +74,7 @@ TEST(CommandLine, OnOffAndWordFlagsAcceptOnlyTheirWords) {
   EXPECT_TRUE(cl.FlagOnOff("absent", true));
   EXPECT_THROW(cl.FlagOnOff("c", false), UsageError);
   EXPECT_THROW(cl.FlagWord("scenario", {"convoy", "valencia"}), UsageError);
-  EXPECT_EQ(cl.FlagWord("broadphase", {"grid", "brute"}), "grid");
+  EXPECT_EQ(cl.FlagWord("estimator", {"ekf", "comp"}), "ekf");
   EXPECT_EQ(ParseCommandLine({"x", "--scenario", "valencia"})
                 .FlagWord("scenario", {"convoy", "valencia"}),
             "valencia");

@@ -264,7 +264,7 @@ TEST(TaskPool, RoundRobinInterleavesClients) {
   EXPECT_LE(b_pos, 1u) << "client 2 starved behind client 1's backlog";
 }
 
-TEST(TaskPool, PriorityOrdersWithinClient) {
+TEST(TaskPool, RunsOneClientsTasksInSubmissionOrder) {
   TaskPool::Options opts;
   opts.num_threads = 1;
   opts.queue_capacity = 100;
@@ -283,15 +283,13 @@ TEST(TaskPool, PriorityOrdersWithinClient) {
       order.push_back(tag);
     };
   };
-  ASSERT_TRUE(pool.TrySubmit(1, tagged(0), /*priority=*/0));
-  ASSERT_TRUE(pool.TrySubmit(1, tagged(1), /*priority=*/0));
-  ASSERT_TRUE(pool.TrySubmit(1, tagged(9), /*priority=*/5));  // jumps the queue
+  ASSERT_TRUE(pool.TrySubmit(1, tagged(0)));
+  ASSERT_TRUE(pool.TrySubmit(1, tagged(1)));
   start.store(true);
   pool.Drain();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 9);  // high priority first
-  EXPECT_EQ(order[1], 0);  // then FIFO among equals
-  EXPECT_EQ(order[2], 1);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 0);  // FIFO within one client
+  EXPECT_EQ(order[1], 1);
 }
 
 TEST(TaskPool, DestructorDrainsAdmittedWork) {

@@ -128,7 +128,6 @@ inline telemetry::FleetRecord Fleet() {
   r.alerts = 22;
   r.instants_in_conflict = 23;
   r.min_separation_m = 0.375;
-  r.broadphase_horizon_m = 24.5;
   r.cascade_size = 25;
   r.secondary_conflicts = 26;
   r.separation_samples = 27;

@@ -7,6 +7,18 @@ namespace {
 
 using math::Vec3;
 
+TrackedDrone MakeDrone(int id) {
+  TrackedDrone d;
+  d.drone_id = id;
+  d.name = std::string("D").append(std::to_string(id));
+  d.bubble.drone_dimension_m = 0.5;
+  d.bubble.safety_distance_m = 1.5;
+  d.bubble.top_speed_ms = 8.0;
+  d.bubble.tracking_interval_s = 0.5;
+  d.max_speed_ms = 1000.0;  // plausibility filter out of the way
+  return d;
+}
+
 /// Tracker pre-loaded with two drones whose bubbles are easy to reason
 /// about: inner radius = 0.5 + max(1.5, 2*0.5) = 2.0 m each.
 struct Rig {
@@ -150,6 +162,23 @@ TEST(ConflictDetector, ThreeDronesPairwiseIndependent) {
     }
   }
   EXPECT_EQ(conflicts, 1);
+}
+
+TEST(ConflictDetector, NoPairsEvaluatedReportsZeroMinSeparation) {
+  // Regression: with nothing ever evaluated the stats must report 0.0, not
+  // the internal +inf-like sentinel.
+  Tracker tracker;
+  ConflictDetector detector(&tracker);
+  detector.Step(0.5);
+  EXPECT_DOUBLE_EQ(detector.stats().min_separation_m, 0.0);
+
+  // One active drone: still no pair.
+  Tracker tracker1;
+  ConflictDetector detector1(&tracker1);
+  tracker1.Register(MakeDrone(7));
+  tracker1.Ingest({7, 0.5, {0, 0, -15}, 0.0});
+  detector1.Step(0.5);
+  EXPECT_DOUBLE_EQ(detector1.stats().min_separation_m, 0.0);
 }
 
 TEST(ConflictDetector, SeverityNames) {

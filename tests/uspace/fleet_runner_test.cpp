@@ -311,14 +311,15 @@ TEST(FleetExperiment, CampaignCachesAndDedupesThroughResultStore) {
   EXPECT_EQ(second.cache_stats().hits, 1u);
   EXPECT_EQ(Serialize(run1[0].record), Serialize(run2[0].record));
 
-  // Different execution knobs still hit the same entry: the key excludes
-  // strategy because results are contractually identical across it.
+  // A different thread count still hits the same entry: the key excludes
+  // it because the record is contractually identical across it, and the
+  // served bytes are exactly what a fresh run under those knobs produces.
   FleetCampaignConfig cfg2 = cfg;
   cfg2.knobs.num_threads = 2;
-  cfg2.knobs.broadphase = BroadphaseMode::kBruteForce;
   FleetCampaign third(cfg2);
   const auto run3 = third.Run({spec});
   EXPECT_TRUE(run3[0].from_cache);
+  EXPECT_EQ(Serialize(run3[0].record), Serialize(RunFleetExperiment(spec, cfg2.knobs)));
 
   // A different spec misses.
   core::FleetExperimentSpec other = spec;

@@ -42,8 +42,8 @@ KNOWN_BENCHES = {"campaign_throughput", "serve_latency", "fleet"}
 
 # The fleet engine's headline thread scaling (all threads vs one) needs cores
 # to show; below this many hardware threads the gate degenerates to the
-# structural checks (byte-identical records + broadphase event equality),
-# mirroring the environment-mismatch policy of the throughput gates.
+# structural check (byte-identical records), mirroring the
+# environment-mismatch policy of the throughput gates.
 FLEET_SPEEDUP_MIN_CORES = 8
 FLEET_SPEEDUP_FLOOR = 5.0
 
@@ -121,11 +121,9 @@ def compare_serve(cur: dict, base: dict, max_regress: float) -> int:
 def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
     """Gate bench_fleet output (BENCH_fleet.json).
 
-    Structural invariants are environment-independent and always enforced:
-    the all-threads fleet run must reproduce the one-thread run's record
-    byte for byte (fleet.oracle_ok) and the uniform-grid broadphase must
-    emit the same event stream as the exhaustive detector
-    (broadphase.events_match).
+    The structural invariant is environment-independent and always
+    enforced: the all-threads fleet run must reproduce the one-thread run's
+    record byte for byte (fleet.oracle_ok).
 
     The >=5x drone-steps/sec thread scaling (all threads over one) is the
     engine's multi-core headline: it is enforced only when the measuring
@@ -136,20 +134,14 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
     environments, like the campaign gates.
     """
     fleet = cur.get("fleet", {})
-    bp = cur.get("broadphase", {})
     if fleet.get("oracle_ok") is not True:
         print("compare_bench: FAIL — fleet record differs from the one-thread run")
-        return 1
-    if bp.get("events_match") is not True:
-        print("compare_bench: FAIL — grid broadphase event stream differs "
-              "from brute force")
         return 1
     speedup = fleet.get("speedup", 0.0)
     cores = cur.get("environment", {}).get("hardware_concurrency", 0)
     print(f"fleet: thread scaling {speedup:.2f}x over one thread at "
           f"{cur.get('environment', {}).get('drones', '?')} drones "
-          f"({cores} hw threads), grid broadphase "
-          f"{bp.get('grid_speedup', 0.0):.2f}x, oracle MATCH")
+          f"({cores} hw threads), oracle MATCH")
     if cores >= FLEET_SPEEDUP_MIN_CORES:
         if speedup < FLEET_SPEEDUP_FLOOR:
             print(f"compare_bench: FAIL — fleet thread scaling {speedup:.2f}x below "
@@ -160,7 +152,7 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
         print(f"compare_bench: {cores} hardware thread(s) < "
               f"{FLEET_SPEEDUP_MIN_CORES}, skipping the "
               f"{FLEET_SPEEDUP_FLOOR:.0f}x thread-scaling gate "
-              "(structural oracle gates still passed)")
+              "(structural oracle gate still passed)")
 
     if cur.get("environment", {}) != base.get("environment", {}):
         print("compare_bench: environments differ, skipping throughput comparison")
@@ -168,17 +160,14 @@ def compare_fleet(cur: dict, base: dict, max_regress: float) -> int:
         print(f"  baseline: {base.get('environment', {})}")
         return 0
 
-    for block, field in (("fleet", "fleet_steps_per_sec"),
-                         ("broadphase", "grid_pairs_per_sec")):
-        cur_v = cur.get(block, {}).get(field, 0.0)
-        base_v = base.get(block, {}).get(field, 0.0)
-        if base_v <= 0.0:
-            continue
+    cur_v = fleet.get("fleet_steps_per_sec", 0.0)
+    base_v = base.get("fleet", {}).get("fleet_steps_per_sec", 0.0)
+    if base_v > 0.0:
         change = (cur_v - base_v) / base_v
-        print(f"{field}: current {cur_v:.0f} vs baseline {base_v:.0f} "
+        print(f"fleet_steps_per_sec: current {cur_v:.0f} vs baseline {base_v:.0f} "
               f"({change:+.1%})")
         if change < -max_regress:
-            print(f"compare_bench: FAIL — {field} regressed more than "
+            print(f"compare_bench: FAIL — fleet_steps_per_sec regressed more than "
                   f"{max_regress:.0%}")
             return 1
     print("compare_bench: OK")
