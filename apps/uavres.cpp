@@ -631,6 +631,14 @@ int CmdFleet(const app::CommandLine& cl) {
   spec.faulted_drone = cl.FlagInt("faulted-drone", spec.num_drones / 2);
   spec.recovery = cl.FlagOnOff("recovery", false);
   if (spec.num_drones <= 0) throw app::UsageError("--drones must be positive");
+  // Each check is written so that a NaN fails it too.
+  if (!(spec.speed_kmh > 0.0)) throw app::UsageError("--speed must be positive");
+  if (!(spec.leg_length_m > 0.0)) throw app::UsageError("--leg must be positive");
+  if (!(spec.tracking_interval_s > 0.0)) throw app::UsageError("--interval must be positive");
+  if (!(spec.drop_probability >= 0.0 && spec.drop_probability <= 1.0)) {
+    throw app::UsageError("--drop must be within [0, 1]");
+  }
+  if (!(spec.link_delay_s >= 0.0)) throw app::UsageError("--delay must not be negative");
   if (spec.fault && (spec.faulted_drone < 0 || spec.faulted_drone >= spec.num_drones)) {
     throw app::UsageError("--faulted-drone " + std::to_string(spec.faulted_drone) +
                           " outside fleet of " + std::to_string(spec.num_drones));
@@ -772,10 +780,18 @@ int CmdLoadgen(const app::CommandLine& cl) {
   cfg.specs = cl.FlagInt("specs", cfg.specs);
   cfg.batch = cl.FlagInt("batch", cfg.batch);
   cfg.unique = cl.FlagInt("unique", cfg.unique);
-  cfg.missions = cl.FlagInt("missions", cfg.missions);
-  if (const auto d = cl.Flag("durations")) cfg.durations = app::ParseDoubleList(*d);
-  cfg.recovery = cl.FlagOnOff("recovery", false);
-  cfg.seed_base = cl.FlagUint64("seed", 2024);
+  if (cfg.clients < 1) throw app::UsageError("--clients must be at least 1");
+  if (cfg.specs < 1) throw app::UsageError("--specs must be at least 1");
+  api::CampaignConfig::Builder grid;
+  grid.Missions(cl.FlagInt("missions", 0))
+      .SeedBase(cl.FlagUint64("seed", 2024))
+      .Recovery(cl.FlagOnOff("recovery", false));
+  if (const auto d = cl.Flag("durations")) grid.Durations(app::ParseDoubleList(*d));
+  try {
+    cfg.grid = grid.Build();
+  } catch (const std::invalid_argument& e) {
+    throw app::UsageError(e.what());
+  }
   cfg.verify = cl.HasFlag("verify");
   cfg.shutdown = cl.HasFlag("shutdown");
   cfg.out_path = cl.Flag("out").value_or(cfg.out_path);

@@ -33,8 +33,8 @@ std::vector<PlannedSpec> BuildUniverse(const api::Campaign& campaign,
   for (std::size_t m = 0; m < fleet.size(); ++m) {
     WireSpec w;
     w.mission_index = static_cast<std::int32_t>(m);
-    w.seed_base = cfg.seed_base;
-    w.recovery = cfg.recovery;
+    w.seed_base = cfg.grid.seed_base;
+    w.recovery = cfg.grid.run.recovery;
     w.has_fault = false;
     universe.push_back({w, universe.size()});
   }
@@ -42,8 +42,8 @@ std::vector<PlannedSpec> BuildUniverse(const api::Campaign& campaign,
     for (const auto& f : grid) {
       WireSpec w;
       w.mission_index = static_cast<std::int32_t>(m);
-      w.seed_base = cfg.seed_base;
-      w.recovery = cfg.recovery;
+      w.seed_base = cfg.grid.seed_base;
+      w.recovery = cfg.grid.run.recovery;
       w.has_fault = true;
       w.fault_type = static_cast<std::uint8_t>(f.type);
       w.fault_target = static_cast<std::uint8_t>(f.target);
@@ -115,17 +115,8 @@ void RunClient(const LoadgenConfig& cfg, const std::vector<PlannedSpec>& stream,
 }  // namespace
 
 int RunLoadgen(const LoadgenConfig& cfg) {
-  if (cfg.clients < 1 || cfg.specs < 1) {
-    std::fprintf(stderr, "loadgen: need at least 1 client and 1 spec\n");
-    return 1;
-  }
-
   // The grid the daemon and the offline verify pass share.
-  api::CampaignConfig::Builder builder;
-  builder.SeedBase(cfg.seed_base).Missions(cfg.missions).Recovery(cfg.recovery);
-  if (!cfg.durations.empty()) builder.Durations(cfg.durations);
-  const api::CampaignConfig campaign_cfg = builder.Build();
-  const api::Campaign campaign(campaign_cfg);
+  const api::Campaign campaign(cfg.grid);
 
   const std::vector<PlannedSpec> universe = BuildUniverse(campaign, cfg);
   // Truncate the universe so the stream cycles: with `unique` ~ specs/2,
@@ -288,7 +279,7 @@ int RunLoadgen(const LoadgenConfig& cfg) {
                "  }\n"
                "}\n",
                cfg.clients, cfg.specs, unique, cfg.batch, campaign.fleet().size(),
-               campaign_cfg.durations.size(), telemetry::kSpecSchemaVersion,
+               cfg.grid.durations.size(), telemetry::kSpecSchemaVersion,
                cfg.specs, ok, rejected, overloaded, p50, p99, mean, max, wall_s,
                wall_s > 0.0 ? static_cast<double>(ok) / wall_s : 0.0,
                static_cast<unsigned long long>(stats.computed),

@@ -9,8 +9,8 @@
 // dedup paths are exercised, not just its compute path.
 //
 // Reports p50/p99/mean/max request latency, throughput, and the daemon's
-// dedup accounting into BENCH_serve.json (schema below; gated by
-// tools/compare_bench.py). With `verify`, re-runs the requested specs
+// dedup accounting as one JSON object (BENCH_serve.json by default; layout
+// in loadgen.cpp). With `verify`, re-runs the requested specs
 // offline through core::Campaign::Run and byte-compares the serialized
 // MissionResults — the serve path must be indistinguishable from the
 // library path.
@@ -18,27 +18,27 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "core/api.h"
 
 namespace uavres::serve {
 
 struct LoadgenConfig {
   std::string host{"127.0.0.1"};
   std::uint16_t port{7745};
+  /// Client connections; at least 1.
   int clients{8};
-  /// Total requests across all clients.
+  /// Total requests across all clients; at least 1.
   int specs{500};
   /// Requests per SubmitBatch frame.
   int batch{16};
   /// Unique experiment universe size; 0 = auto (half the request count,
   /// clamped to the grid) so every spec is requested ~twice.
   int unique{0};
-  /// Mission limit for the grid (0 = all).
-  int missions{0};
-  /// Injection durations; empty = the paper's default grid.
-  std::vector<double> durations;
-  bool recovery{false};
-  std::uint64_t seed_base{2024};
+  /// The grid the requests are drawn from (missions, durations, seed base,
+  /// recovery), built by CampaignConfig::Builder. With no cache dir set,
+  /// `verify` recomputes every result.
+  api::CampaignConfig grid;
   /// Offline Campaign::Run byte-comparison of every received result.
   bool verify{false};
   /// Send kShutdown once done (CI teardown).

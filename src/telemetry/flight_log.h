@@ -40,7 +40,7 @@ class FlightLog {
   void Add(double t, LogLevel level, std::string msg) {
     // Reserve a typical flight's worth of events on first use so routine
     // mode changes mid-flight never reallocate (the steady-state simulation
-    // step is heap-allocation-free; bench_throughput enforces this).
+    // step is heap-allocation-free; AllocRegression enforces this).
     if (events_.capacity() == events_.size()) {
       events_.reserve(events_.empty() ? 32 : events_.size() * 2);
     }
