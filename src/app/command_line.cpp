@@ -13,9 +13,10 @@
 #include "app/command_line.h"
 
 #include <algorithm>
-#include <charconv>
 #include <iterator>
 #include <sstream>
+
+#include "math/num.h"
 
 namespace uavres::app {
 
@@ -24,12 +25,8 @@ namespace {
 /// `s` parsed in full as a T; throws UsageError naming `what` otherwise.
 template <class T>
 T Parse(const std::string& s, const std::string& what, const char* kind) {
-  T value{};
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) {
-    throw UsageError(what + " expects " + kind + ", got '" + s + "'");
-  }
-  return value;
+  if (const std::optional<T> value = math::ParseNumber<T>(s)) return *value;
+  throw UsageError(what + " expects " + kind + ", got '" + s + "'");
 }
 
 }  // namespace

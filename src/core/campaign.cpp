@@ -3,10 +3,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/scheduler.h"
+#include "math/num.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace.h"
 
@@ -39,12 +41,38 @@ void WarnIneffectiveEnv(const char* name, const std::string& why) {
             << ")\n";
 }
 
+/// A positive int from environment variable `name`, parsed in full as the
+/// CLI parses its flags; otherwise a warning and nullopt.
+std::optional<int> PositiveEnvInt(const char* name, const char* value, const char* what) {
+  const std::optional<int> n = math::ParseNumber<int>(value);
+  if (n && *n > 0) return n;
+  WarnIneffectiveEnv(name, std::string("expects a positive ") + what + ", got '" + value + "'");
+  return std::nullopt;
+}
+
 /// `base` as the grid runs `spec`: a faulty run only needs its metrics, so
 /// it records no trajectory (bounding memory; part of its key).
 uav::RunConfig HarnessFor(const uav::RunConfig& base, const uav::ExperimentSpec& spec) {
   uav::RunConfig run = base;
   if (!spec.IsGold()) run.record_trajectory = false;
   return run;
+}
+
+/// Per-worker scratch: RunInto clears but keeps buffer capacity, so each
+/// worker pays the output allocations once, not per run.
+uav::RunOutput& Scratch() {
+  thread_local uav::RunOutput scratch;
+  return scratch;
+}
+
+/// Commits the simulated run in `out` under `key`; a gold entry takes the
+/// trajectory.
+ExperimentEntry Commit(ResultStore& store, std::uint64_t key, const uav::ExperimentSpec& spec,
+                       uav::RunOutput& out) {
+  ExperimentEntry entry{{out.result, std::nullopt}, false};
+  if (spec.IsGold()) entry.run.trajectory = std::move(out.trajectory);
+  if (store.enabled()) store.Store(key, entry.run);
+  return entry;
 }
 
 }  // namespace
@@ -59,23 +87,12 @@ CampaignConfig CampaignConfig::FromEnvironment() {
     }
   }
   if (const char* missions = std::getenv("UAVRES_MISSIONS")) {
-    const int limit = std::atoi(missions);
-    if (limit > 0) {
-      cfg.mission_limit = limit;
-    } else {
-      WarnIneffectiveEnv("UAVRES_MISSIONS",
-                         "expects a positive mission count, got '" +
-                             std::string(missions) + "'");
+    if (auto n = PositiveEnvInt("UAVRES_MISSIONS", missions, "mission count")) {
+      cfg.mission_limit = *n;
     }
   }
   if (const char* threads = std::getenv("UAVRES_THREADS")) {
-    const int n = std::atoi(threads);
-    if (n > 0) {
-      cfg.num_threads = n;
-    } else {
-      WarnIneffectiveEnv("UAVRES_THREADS", "expects a positive thread count, got '" +
-                                               std::string(threads) + "'");
-    }
+    if (auto n = PositiveEnvInt("UAVRES_THREADS", threads, "thread count")) cfg.num_threads = *n;
   }
   if (const char* cache = std::getenv("UAVRES_CACHE_DIR")) {
     if (cache[0] != '\0') {
@@ -162,22 +179,47 @@ std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpe
 
 ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
                               uav::ExperimentSpec spec,
-                              const std::function<const telemetry::Trajectory*()>& gold) {
+                              const std::function<GoldReference()>& gold) {
   const std::uint64_t key = ExperimentKey(base, spec);
   if (auto cached = store.Load(key, /*require_trajectory=*/spec.IsGold())) {
     return {std::move(*cached), true};
   }
   // Resolve the reference before the scratch is used: a lazy `gold` may
   // simulate the mission's gold run on this same thread.
-  if (!spec.IsGold() && gold) spec.gold = gold();
-  // Per-worker scratch: RunInto clears but keeps buffer capacity, so each
-  // worker pays the output allocations once, not per run.
-  thread_local uav::RunOutput scratch;
-  uav::SimulationRunner(HarnessFor(base, spec)).RunInto(spec, scratch);
-  ExperimentEntry entry{{scratch.result, std::nullopt}, false};
-  if (spec.IsGold()) entry.run.trajectory = std::move(scratch.trajectory);
-  if (store.enabled()) store.Store(key, entry.run);
-  return entry;
+  const GoldReference ref = !spec.IsGold() && gold ? gold() : GoldReference{};
+  spec.gold = ref.path;
+  const uav::SimulationRunner runner(HarnessFor(base, spec));
+  uav::RunOutput& out = Scratch();
+  // A refused fork (the fault opens before the snapshot) flies the prefix.
+  if (ref.onset == nullptr || !runner.RunFromSnapshot(spec, *ref.onset, out)) {
+    runner.RunInto(spec, out);
+  }
+  return Commit(store, key, spec, out);
+}
+
+GoldRun RunGold(ResultStore& store, const uav::RunConfig& base, const uav::ExperimentSpec& spec,
+                double onset_s) {
+  const std::uint64_t key = ExperimentKey(base, spec);
+  if (auto cached = store.Load(key, /*require_trajectory=*/true)) {
+    return {{std::move(*cached), true}, std::nullopt};
+  }
+  GoldRun gold{{}, sim::Snapshot{}};
+  uav::RunOutput& out = Scratch();
+  if (!uav::SimulationRunner(HarnessFor(base, spec))
+           .RunWithCheckpoint(spec, onset_s, *gold.onset, out)) {
+    gold.onset.reset();
+  }
+  gold.entry = Commit(store, key, spec, out);
+  return gold;
+}
+
+std::optional<sim::Snapshot> CaptureOnset(const uav::RunConfig& base,
+                                          const uav::ExperimentSpec& spec, double onset_s) {
+  sim::Snapshot snap;
+  if (!uav::SimulationRunner(HarnessFor(base, spec)).CaptureSnapshot(spec, onset_s, snap)) {
+    return std::nullopt;
+  }
+  return snap;
 }
 
 CampaignResults Campaign::Run(
@@ -212,18 +254,25 @@ CampaignResults Campaign::Run(
     mission_cost[i] = fleet_[i].plan.ExpectedDuration() + cfg_.run.extra_time_s;
   }
 
-  // Phase 1: gold runs (references needed before any faulty run).
+  const auto gold_spec = [&](std::size_t mission) {
+    return uav::ExperimentSpec{fleet_[mission], static_cast<int>(mission), std::nullopt,
+                               cfg_.seed_base, nullptr};
+  };
+
+  // Phase 1: gold runs (references needed before any faulty run). Each one
+  // keeps its snapshot at the grid's fault onset, its faulty runs' fork
+  // point, unless it came from the store.
+  std::vector<std::optional<sim::Snapshot>> onsets(fleet_.size());
   {
     UAVRES_TRACE_SCOPE("campaign/gold-phase");
     ParallelFor(
         fleet_.size(), mission_cost,
         [&](std::size_t i) {
           UAVRES_TRACE_SCOPE("campaign/gold-run");
-          ExperimentEntry gold = RunExperiment(
-              store, cfg_.run,
-              {fleet_[i], static_cast<int>(i), std::nullopt, cfg_.seed_base, nullptr});
-          results.gold[i] = std::move(gold.run.result);
-          results.gold_trajectories[i] = std::move(*gold.run.trajectory);
+          GoldRun gold = RunGold(store, cfg_.run, gold_spec(i), cfg_.injection_start_s);
+          results.gold[i] = std::move(gold.entry.run.result);
+          results.gold_trajectories[i] = telemetry::GoldPath(*gold.entry.run.trajectory);
+          onsets[i] = std::move(gold.onset);
           CountCampaignResult(results.gold[i]);
           report();
         },
@@ -232,7 +281,19 @@ CampaignResults Campaign::Run(
 
   // Phase 2: faulty runs, flat (mission, fault) grid. Each entry is
   // persisted as its worker finishes (checkpointing), so a killed campaign
-  // resumes with only the missing runs recomputed.
+  // resumes with only the missing runs recomputed. A gold run loaded from
+  // the store brought no snapshot: the first faulty miss of its mission
+  // recaptures it, and a fully cached mission never flies.
+  std::vector<std::once_flag> recaptured(fleet_.size());
+  const auto reference = [&](std::size_t mission) {
+    std::call_once(recaptured[mission], [&] {
+      if (!onsets[mission]) {
+        onsets[mission] = CaptureOnset(cfg_.run, gold_spec(mission), cfg_.injection_start_s);
+      }
+    });
+    const std::optional<sim::Snapshot>& onset = onsets[mission];
+    return GoldReference{&results.gold_trajectories[mission], onset ? &*onset : nullptr};
+  };
   {
     UAVRES_TRACE_SCOPE("campaign/faulty-phase");
     const std::size_t n_jobs = results.faulty.size();
@@ -244,11 +305,10 @@ CampaignResults Campaign::Run(
         [&](std::size_t j) {
           UAVRES_TRACE_SCOPE("campaign/faulty-run");
           const std::size_t mission = j / grid.size();
+          uav::ExperimentSpec spec = gold_spec(mission);
+          spec.fault = grid[j % grid.size()];
           results.faulty[j] =
-              RunExperiment(store, cfg_.run,
-                            {fleet_[mission], static_cast<int>(mission),
-                             grid[j % grid.size()], cfg_.seed_base, nullptr},
-                            [&] { return &results.gold_trajectories[mission]; })
+              RunExperiment(store, cfg_.run, spec, [&] { return reference(mission); })
                   .run.result;
           CountCampaignResult(results.faulty[j]);
           report();

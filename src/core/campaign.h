@@ -16,6 +16,7 @@
 #include "core/metrics.h"
 #include "core/result_store.h"
 #include "core/scenario.h"
+#include "sim/snapshot.h"
 #include "telemetry/trajectory.h"
 #include "uav/simulation_runner.h"
 
@@ -95,7 +96,9 @@ class CampaignConfig::Builder {
 struct CampaignResults {
   std::vector<MissionResult> gold;
   std::vector<MissionResult> faulty;
-  std::vector<telemetry::Trajectory> gold_trajectories;  ///< by mission index
+  /// Each mission's gold true path, the bubble reference of its faulty runs
+  /// (the compact form: the recorded trajectory stays in the result store).
+  std::vector<telemetry::GoldPath> gold_trajectories;
   CacheStats cache;  ///< result-store accounting (all zeros when disabled)
 
   std::size_t TotalRuns() const { return gold.size() + faulty.size(); }
@@ -108,6 +111,17 @@ struct ExperimentEntry {
   bool hit{false};
 };
 
+/// What a faulty run takes from its mission's gold run (both non-owning):
+/// the true path its bubble deviation is measured against, and the gold
+/// run's snapshot just before the fault onset, or null. ExperimentSeed keeps
+/// the fault out of the vehicle's streams, so a faulty run flies its gold
+/// run's prefix bit for bit up to the onset; with the snapshot it resumes
+/// there instead of flying that prefix again.
+struct GoldReference {
+  const telemetry::TruePath* path{nullptr};
+  const sim::Snapshot* onset{nullptr};
+};
+
 /// The one path every experiment of the grid takes, offline (Campaign::Run)
 /// and in the serve daemon, so both key, harness and store a spec the same
 /// way: under `base`, a gold spec records its trajectory (the bubble
@@ -115,12 +129,34 @@ struct ExperimentEntry {
 ///
 /// RunExperiment returns the store's entry for `spec`, which for a gold spec
 /// must carry the trajectory; on a miss it simulates `spec` on this thread's
-/// scratch and commits the result. `gold` supplies a faulty spec's reference
-/// trajectory and is called only on a miss, so a caller can resolve its
-/// mission's gold lazily; the trajectory must outlive the call.
+/// scratch and commits the result. `gold` supplies a faulty spec's
+/// reference and is called only on a miss, so a caller can resolve its
+/// mission's gold lazily; what it points to must outlive the call. A faulty
+/// miss with an onset snapshot resumes from it (RunFromSnapshot) when the
+/// fault opens after the snapshot, and flies from t = 0 otherwise; both give
+/// the same bytes.
 ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
                               uav::ExperimentSpec spec,
-                              const std::function<const telemetry::Trajectory*()>& gold = {});
+                              const std::function<GoldReference()>& gold = {});
+
+/// A gold spec's entry plus its snapshot just before `onset_s`, the fork
+/// point of its mission's faulty runs.
+struct GoldRun {
+  ExperimentEntry entry;
+  /// Taken as the gold run flies on a store miss; empty on a hit (the store
+  /// keeps no snapshots: CaptureOnset recaptures it) or when the run ended
+  /// before onset_s.
+  std::optional<sim::Snapshot> onset;
+};
+
+/// RunExperiment of the gold spec `spec` that also keeps its onset snapshot.
+GoldRun RunGold(ResultStore& store, const uav::RunConfig& base, const uav::ExperimentSpec& spec,
+                double onset_s);
+
+/// The gold spec `spec`'s snapshot just before `onset_s`, from a flight of
+/// that prefix only; nullopt when the run ends first.
+std::optional<sim::Snapshot> CaptureOnset(const uav::RunConfig& base,
+                                          const uav::ExperimentSpec& spec, double onset_s);
 
 /// The store key RunExperiment uses for `spec` under `base`.
 std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpec& spec);

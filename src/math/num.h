@@ -2,8 +2,11 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <string_view>
 
 namespace uavres::math {
 
@@ -56,5 +59,16 @@ constexpr double Lerp(double a, double b, double t) { return a + (b - a) * t; }
 
 /// True when the value is finite (not NaN/inf).
 inline bool IsFinite(double v) { return std::isfinite(v); }
+
+/// `s` parsed in full as a T by std::from_chars, or nullopt when it is
+/// empty, has any byte left over ("1x", "2.5" as an int) or is out of T's
+/// range. The one number parser of the CLI flags and the environment.
+template <class T>
+std::optional<T> ParseNumber(std::string_view s) {
+  T value{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return value;
+}
 
 }  // namespace uavres::math

@@ -353,11 +353,16 @@ Server::GoldEntry Server::Gold(const api::ExperimentSpec& spec, bool recovery,
     }
     // Leader: fill from the persistent store or simulate the reference run.
     UAVRES_TRACE_SCOPE("serve/gold-run");
-    core::ExperimentEntry gold = core::RunExperiment(store_, run, gold_spec);
-    const GoldEntry entry{
-        std::make_shared<const telemetry::Trajectory>(std::move(*gold.run.trajectory)),
-        std::move(gold.run.result)};
-    if (gold.hit) {
+    core::GoldRun gold = core::RunGold(store_, run, gold_spec, core::kInjectionStartS);
+    if (gold.entry.hit) {
+      // The store keeps no snapshots: fly the prefix alone to recapture it.
+      gold.onset = core::CaptureOnset(run, gold_spec, core::kInjectionStartS);
+    }
+    const GoldEntry entry{std::make_shared<const OwnedGoldReference>(OwnedGoldReference{
+                              telemetry::GoldPath(*gold.entry.run.trajectory),
+                              std::move(gold.onset)}),
+                          std::move(gold.entry.run.result)};
+    if (gold.entry.hit) {
       UAVRES_COUNT("serve.gold.store-hits");
     } else {
       gold_computed_.fetch_add(1, std::memory_order_relaxed);
@@ -403,13 +408,14 @@ void Server::RunFlight(std::uint64_t key) {
   } else {
     // Bubble violations are counted against the mission's gold reference,
     // resolved through the gold cache only on a store miss, so N dependent
-    // faulty runs trigger at most one reference simulation.
+    // faulty runs trigger at most one reference simulation; each of them
+    // resumes from the gold run's onset snapshot.
     UAVRES_TRACE_SCOPE("serve/faulty-run");
-    std::shared_ptr<const telemetry::Trajectory> gold;
+    std::shared_ptr<const OwnedGoldReference> gold;
     core::ExperimentEntry entry =
         core::RunExperiment(store_, Harness(flight->recovery), flight->spec, [&] {
-          gold = Gold(flight->spec, flight->recovery).trajectory;
-          return gold.get();
+          gold = Gold(flight->spec, flight->recovery).reference;
+          return core::GoldReference{&gold->path, gold->onset ? &*gold->onset : nullptr};
         });
     result = std::move(entry.run.result);
     computed = !entry.hit;

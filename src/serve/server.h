@@ -12,9 +12,9 @@
 //   one in-flight run per key, later submitters attach as waiters) ->
 //   TaskPool (per-client round-robin fairness, bounded admission; full
 //   queue => kRejectedOverload) -> worker: core::RunExperiment (store hit,
-//   else simulate against the mission's gold reference, resolved through an
-//   in-memory single-flight gold cache, and commit) -> fan the result out
-//   to every attached waiter.
+//   else simulate against the mission's gold reference — its true path and
+//   onset snapshot, resolved through an in-memory single-flight gold cache —
+//   and commit) -> fan the result out to every attached waiter.
 //
 // Results are byte-identical to an offline core::Campaign::Run of the same
 // grid: both run every spec through core::RunExperiment with the default
@@ -32,6 +32,7 @@
 
 #include "core/api.h"
 #include "core/scheduler.h"
+#include "sim/snapshot.h"
 #include "telemetry/spec_codec.h"
 #include "telemetry/trajectory.h"
 
@@ -98,15 +99,22 @@ class Server {
   void RunFlight(std::uint64_t key);
   void SendStats(const std::shared_ptr<Connection>& conn);
 
-  /// One gold run: the bubble reference of its mission's faulty specs.
+  /// What a mission's faulty specs take from its gold run: the compact true
+  /// path and the snapshot at the paper's onset (core::GoldReference).
+  struct OwnedGoldReference {
+    telemetry::GoldPath path;
+    std::optional<sim::Snapshot> onset;
+  };
+  /// One gold run: its result and its faulty specs' reference.
   struct GoldEntry {
-    std::shared_ptr<const telemetry::Trajectory> trajectory;
+    std::shared_ptr<const OwnedGoldReference> reference;
     core::MissionResult result;
   };
   /// The gold run of `spec`'s mission, seed base and `recovery`: an
-  /// in-memory cache in front of core::RunExperiment, single-flight so
-  /// concurrent dependents trigger one reference run. Sets `*computed` when
-  /// this call simulated it.
+  /// in-memory cache in front of core::RunGold, single-flight so concurrent
+  /// dependents trigger one reference run. A gold entry already in the
+  /// store is not flown again: a prefix-only flight recaptures its onset
+  /// snapshot. Sets `*computed` when this call simulated the gold run.
   GoldEntry Gold(const api::ExperimentSpec& spec, bool recovery, bool* computed = nullptr);
 
   static void SendFrame(const std::shared_ptr<Connection>& conn,
@@ -134,7 +142,7 @@ class Server {
   std::mutex flight_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
 
-  /// Gold reference cache (gold store key -> trajectory + result).
+  /// Gold reference cache (gold store key -> reference + result).
   std::mutex gold_mutex_;
   std::map<std::uint64_t, GoldEntry> gold_cache_;
   core::SingleFlight gold_flight_;

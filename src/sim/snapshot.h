@@ -19,9 +19,11 @@ namespace uavres::sim {
 
 /// Snapshot schema version (bumped whenever any section's member list or the
 /// metadata below changes shape; the codec refuses future versions).
-/// Version 2: sections are per-field little-endian codec bytes; version 1
-/// copied whole structs in host byte order.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Version 3: the recorded trajectory left the harness section for a
+/// section of its own, present only when the donor records one; version 2:
+/// sections are per-field little-endian codec bytes; version 1 copied whole
+/// structs in host byte order.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// One subsystem's opaque state blob.
 struct SnapshotSection {
@@ -32,7 +34,7 @@ struct SnapshotSection {
 /// A complete checkpoint of one run at one step boundary.
 struct Snapshot {
   std::uint32_t version{kSnapshotVersion};
-  std::uint64_t seed{0};       ///< the derived ExperimentSeed the donor run used
+  std::uint64_t seed{0};       ///< the vehicle seed (ExperimentSeed) the donor run used
   std::int64_t step_count{0};  ///< control steps completed at capture
   double time_s{0.0};          ///< post-step simulation time at capture [s]
   std::int32_t mission_index{0};

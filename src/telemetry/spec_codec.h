@@ -38,10 +38,12 @@
 
 namespace uavres::telemetry {
 
-/// Experiment-identity schema, v3: the serve wire API, the sharded result
+/// Experiment-identity schema, v4: the serve wire API, the sharded result
 /// store and the cache-key recipe all stamp this number (history: v1 seed
-/// PR 1, v2 per-axis fault RNG streams in PR 3, v3 serve/sharded store).
-inline constexpr std::uint32_t kSpecSchemaVersion = 3;
+/// PR 1, v2 per-axis fault RNG streams in PR 3, v3 serve/sharded store, v4
+/// the fault seeds only its injector streams, so a faulty run flies its
+/// gold run's sensor noise up to the onset).
+inline constexpr std::uint32_t kSpecSchemaVersion = 4;
 
 /// Hello magic ("UVSP"): rejects non-uavres peers before anything else.
 inline constexpr std::uint32_t kSpecWireMagic = 0x50535655;

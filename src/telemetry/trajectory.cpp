@@ -45,6 +45,19 @@ double DistSqPointToSegment(const Vec3& p, const Vec3& a, const Vec3& b) {
   return (p - (a + ab * t)).NormSq();
 }
 
+/// Distance from p to the polyline through point(0) .. point(n - 1): the one
+/// loop behind both TruePath implementations, so they agree bit for bit.
+template <class Point>
+double DistanceToPolyline(const Vec3& p, std::size_t n, Point&& point) {
+  if (n == 0) return std::numeric_limits<double>::infinity();
+  if (n == 1) return (p - point(0)).Norm();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 1; i < n; ++i) {
+    best = std::min(best, DistSqPointToSegment(p, point(i - 1), point(i)));
+  }
+  return std::sqrt(best);
+}
+
 }  // namespace
 
 double DistancePointToSegment(const Vec3& p, const Vec3& a, const Vec3& b) {
@@ -52,14 +65,18 @@ double DistancePointToSegment(const Vec3& p, const Vec3& a, const Vec3& b) {
 }
 
 double Trajectory::DistanceToTruePath(const Vec3& p) const {
-  if (samples_.empty()) return std::numeric_limits<double>::infinity();
-  if (samples_.size() == 1) return (p - samples_[0].pos_true).Norm();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    best = std::min(best, DistSqPointToSegment(p, samples_[i - 1].pos_true,
-                                               samples_[i].pos_true));
-  }
-  return std::sqrt(best);
+  return DistanceToPolyline(p, samples_.size(),
+                            [this](std::size_t i) -> const Vec3& { return samples_[i].pos_true; });
+}
+
+GoldPath::GoldPath(const Trajectory& trajectory) {
+  points_.reserve(trajectory.Size());
+  for (const TrajectorySample& s : trajectory.Samples()) points_.push_back(s.pos_true);
+}
+
+double GoldPath::DistanceToTruePath(const Vec3& p) const {
+  return DistanceToPolyline(p, points_.size(),
+                            [this](std::size_t i) -> const Vec3& { return points_[i]; });
 }
 
 }  // namespace uavres::telemetry

@@ -39,8 +39,24 @@ void Fields(V& v, TrajectorySample& s) {
 /// ~18k samples; anything beyond this is a corrupt or hostile file.
 inline constexpr std::uint32_t kMaxTrajectorySamples = 50'000'000;
 
+/// A fault-free reference path, as a faulty run measures its bubble
+/// deviation against it (uav::ExperimentSpec::gold). Both the full recorded
+/// Trajectory and its compact GoldPath are one, with bit-identical distances.
+class TruePath {
+ public:
+  /// Minimum distance from point p to the piecewise-linear true path [m].
+  /// Returns +inf for an empty path.
+  virtual double DistanceToTruePath(const math::Vec3& p) const = 0;
+
+ protected:
+  TruePath() = default;
+  TruePath(const TruePath&) = default;
+  TruePath& operator=(const TruePath&) = default;
+  ~TruePath() = default;
+};
+
 /// Append-only trajectory with helpers for time lookup and path geometry.
-class Trajectory {
+class Trajectory final : public TruePath {
  public:
   void Reserve(std::size_t n) { samples_.reserve(n); }
   void Add(const TrajectorySample& s) { samples_.push_back(s); }
@@ -61,12 +77,27 @@ class Trajectory {
   /// Total EKF-estimated path length [m] — the paper's "distance traveled".
   double EstimatedPathLength() const;
 
-  /// Minimum distance from point p to the piecewise-linear true path [m].
-  /// Returns +inf for an empty trajectory.
-  double DistanceToTruePath(const math::Vec3& p) const;
+  double DistanceToTruePath(const math::Vec3& p) const override;
 
  private:
   std::vector<TrajectorySample> samples_;
+};
+
+/// The true positions of a recorded trajectory and nothing else: 24 bytes a
+/// sample instead of a TrajectorySample's 184, for a gold reference that
+/// lives as long as its mission's faulty runs do.
+class GoldPath final : public TruePath {
+ public:
+  GoldPath() = default;
+  explicit GoldPath(const Trajectory& trajectory);
+
+  std::size_t Size() const { return points_.size(); }
+  const std::vector<math::Vec3>& Points() const { return points_; }
+
+  double DistanceToTruePath(const math::Vec3& p) const override;
+
+ private:
+  std::vector<math::Vec3> points_;
 };
 
 /// Codec field list (telemetry/binary_io.h): u32 sample count, then the

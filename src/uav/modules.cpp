@@ -1,5 +1,6 @@
 #include "uav/modules.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -259,12 +260,19 @@ void BatteryModule::Step(const bus::StepInfo& info) {
 
 // --- FaultInterceptorStage ---
 
+std::uint64_t FaultStreamSeed(std::uint64_t seed, const core::FaultSpec& fault) {
+  std::uint64_t s = math::HashCombine(seed, static_cast<std::uint64_t>(fault.type) + 11);
+  s = math::HashCombine(s, static_cast<std::uint64_t>(fault.target) + 101);
+  return math::HashCombine(s, static_cast<std::uint64_t>(fault.duration_s * 1000.0) + 1009);
+}
+
 FaultInterceptorStage::FaultInterceptorStage(const UavConfig& cfg,
                                              const std::optional<core::FaultSpec>& fault,
-                                             std::uint64_t seed, bus::FlightBus* bus,
+                                             std::uint64_t vehicle_seed, bus::FlightBus* bus,
                                              telemetry::FlightLog* log) {
   // Same seed constants the monolith used: each injector's stream depends
   // only on (seed, constant), never on construction order.
+  const std::uint64_t seed = fault ? FaultStreamSeed(vehicle_seed, *fault) : vehicle_seed;
   imu_slots_.reserve((fault ? 1 : 0) + cfg.extra_faults.size());
   if (fault) {
     imu_slots_.push_back({core::FaultInjector(*fault, cfg.imu_ranges,
@@ -301,6 +309,14 @@ bool FaultInterceptorStage::AnyImuActiveAt(double t) const {
     if (slot.injector.ActiveAt(t)) return true;
   }
   return false;
+}
+
+bool FaultInterceptorStage::IdleThrough(double t) const {
+  const auto after = [t](const auto& injector) { return injector.spec().start_time_s > t; };
+  return std::all_of(imu_slots_.begin(), imu_slots_.end(),
+                     [&](const ImuSlot& slot) { return after(slot.injector); }) &&
+         (!gps_injector_ || after(*gps_injector_)) && (!baro_injector_ || after(*baro_injector_)) &&
+         (!mag_injector_ || after(*mag_injector_));
 }
 
 void FaultInterceptorStage::ApplyImu(void* ctx, bus::ImuSignal& sig, double t) {

@@ -264,10 +264,20 @@ class BatteryModule final : public bus::Module {
   bus::FlightBus* bus_;
 };
 
+/// The seed of a vehicle's fault-injector streams: the vehicle seed with the
+/// primary fault's identity — type, target and duration, the axes of the
+/// paper grid — mixed in. Start time and magnitude stay out, so a bisection
+/// probe draws what its donor drew. Every cell of a mission shares the
+/// vehicle seed (uav::ExperimentSeed), so this is what tells their injector
+/// streams apart.
+std::uint64_t FaultStreamSeed(std::uint64_t seed, const core::FaultSpec& fault);
+
 /// Bus-boundary fault injection: wraps the campaign's injectors as topic
 /// interceptors. The IMU chain applies the primary fault first, then every
 /// extra window, in registration order — matching the monolith's loop — and
-/// each injector logs its own window opening exactly once.
+/// each injector logs its own window opening exactly once. Every injector
+/// draws from a stream of FaultStreamSeed (or of the vehicle seed when there
+/// is no primary fault), never from the sensor streams.
 class FaultInterceptorStage {
  public:
   FaultInterceptorStage(const UavConfig& cfg, const std::optional<core::FaultSpec>& fault,
@@ -275,6 +285,11 @@ class FaultInterceptorStage {
 
   /// True while any IMU fault window is open (the façade's fault_active()).
   bool AnyImuActiveAt(double t) const;
+
+  /// True when every injector's window opens after `t`. Injectors draw only
+  /// at construction and inside their window, so the stage is then exactly
+  /// as constructed after a flight to `t`.
+  bool IdleThrough(double t) const;
 
   /// Snapshot field list: injector RNG streams, frozen samples and the
   /// per-window logged flags — never the fault specs themselves, so a fork

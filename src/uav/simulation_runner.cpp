@@ -26,16 +26,9 @@ UavConfig MakeUavConfig(const core::DroneSpec& spec) {
   return cfg;
 }
 
-std::uint64_t ExperimentSeed(std::uint64_t base, int mission_index,
-                             const std::optional<core::FaultSpec>& fault) {
-  std::uint64_t s = math::HashCombine(base, 0xA11CE5EEDULL);
-  s = math::HashCombine(s, static_cast<std::uint64_t>(mission_index) + 1);
-  if (fault) {
-    s = math::HashCombine(s, static_cast<std::uint64_t>(fault->type) + 11);
-    s = math::HashCombine(s, static_cast<std::uint64_t>(fault->target) + 101);
-    s = math::HashCombine(s, static_cast<std::uint64_t>(fault->duration_s * 1000.0) + 1009);
-  }
-  return s;
+std::uint64_t ExperimentSeed(std::uint64_t base, int mission_index) {
+  const std::uint64_t s = math::HashCombine(base, 0xA11CE5EEDULL);
+  return math::HashCombine(s, static_cast<std::uint64_t>(mission_index) + 1);
 }
 
 std::ostream& operator<<(std::ostream& os, const ExperimentSpec& spec) {
@@ -124,24 +117,44 @@ class StepBookkeeper {
 
   /// Field list of the snapshot's harness section: the run-mutable
   /// bookkeeping (wall_start_ is profiling-only and deliberately excluded;
-  /// the config-derived members are rebuilt by the constructor).
+  /// the config-derived members are rebuilt by the constructor). The
+  /// recorded trajectory is a section of its own (Save).
   template <class V>
   friend void Fields(V& v, StepBookkeeper& x) {
     v(x.next_record_, x.next_track_, x.last_check_t_, x.last_est_pos_, x.distance_est_,
       x.end_time_,
       telemetry::InRange{x.outcome_, MissionOutcome::kCompleted, MissionOutcome::kTimeout},
-      x.steps_, x.anomaly_at_onset_, x.ended_, x.bubbles_, x.checker_, x.out_.trajectory);
+      x.steps_, x.anomaly_at_onset_, x.ended_, x.bubbles_, x.checker_);
+  }
+
+  /// Appends the harness section, plus the trajectory recorded so far when
+  /// this run records one.
+  void Save(sim::Snapshot& snap) {
+    SaveSection(snap, SnapshotSectionId::kHarness, *this);
+    if (cfg_.record_trajectory) {
+      SaveSection(snap, SnapshotSectionId::kTrajectory, out_.trajectory);
+    }
+  }
+
+  /// Resumes the bookkeeping from `snap` on the already restored `uav`:
+  /// false when the harness section is missing or corrupt, or when this run
+  /// records a trajectory and the donor recorded none.
+  bool Restore(const sim::Snapshot& snap, const Uav& uav) {
+    if (!RestoreSection(snap, SnapshotSectionId::kHarness, *this)) return false;
+    if (cfg_.record_trajectory &&
+        !RestoreSection(snap, SnapshotSectionId::kTrajectory, out_.trajectory)) {
+      return false;
+    }
+    // A donor without this run's fault (a gold run) noted no anomaly level
+    // ahead of the onset; the restored monitor gives it for the capture step.
+    NoteAnomalyBeforeOnset(uav.time(), uav);
+    return true;
   }
 
   // Runs after each Step() at post-step time `t`.
   void AfterStep(double t, const Uav& uav) {
     ++steps_;
-    const std::optional<core::FaultSpec>& fault = espec_.fault;
-    if (fault && t < fault->start_time_s) {
-      // Health-monitor confirm charge just before fault onset: the failsafe-
-      // latency invariant only binds when the pipeline starts uncharged.
-      anomaly_at_onset_ = uav.health().anomaly_level();
-    }
+    NoteAnomalyBeforeOnset(t, uav);
     const auto& truth = uav.quad().state();
     const auto& est = uav.ekf().state();
 
@@ -207,6 +220,14 @@ class StepBookkeeper {
       end_time_ = verdict.end_time;
       outcome_ = verdict.outcome;
       ended_ = true;
+    }
+  }
+
+  // Health-monitor confirm charge just before fault onset: the failsafe-
+  // latency invariant only binds when the pipeline starts uncharged.
+  void NoteAnomalyBeforeOnset(double t, const Uav& uav) {
+    if (espec_.fault && t < espec_.fault->start_time_s) {
+      anomaly_at_onset_ = uav.health().anomaly_level();
     }
   }
 
@@ -379,15 +400,25 @@ bool Fly(const RunConfig& cfg, const ExperimentSpec& espec, const RunPlan& plan,
   StepBookkeeper bk(cfg, espec, uav_cfg, out);
   if (bk.checker_enabled()) uav_cfg.ekf.strict_invariant_checks = true;
   Uav uav(uav_cfg, espec.drone.plan, espec.fault, plan.seed);
-  if (plan.from != nullptr && !(uav.RestoreState(*plan.from) &&
-                                RestoreSection(*plan.from, SnapshotSectionId::kHarness, bk))) {
-    return false;
+  if (plan.from != nullptr) {
+    // A fault-free donor (a gold run) has no injector for this run's fault:
+    // the fork keeps its freshly built stage, which equals a from-scratch
+    // run's as long as none of its windows has opened by the capture.
+    const bool fresh_faults = !plan.from->has_fault && espec.fault.has_value();
+    if (fresh_faults && !uav.FaultsIdleThrough(plan.from->time_s)) return false;
+    if (!uav.RestoreState(*plan.from, /*restore_faults=*/!fresh_faults) ||
+        !bk.Restore(*plan.from, uav)) {
+      return false;
+    }
   }
 
   const double deadline =
       plan.deadline_s > 0.0 ? std::min(plan.deadline_s, bk.max_time()) : bk.max_time();
   const std::int64_t capture_step =
       plan.capture != nullptr ? CaptureStep(plan.t_snap, uav.dt()) : -1;
+  // sim.steps counts a fork's restored prefix too (the harness carries it);
+  // this counter holds only the steps this call actually simulated.
+  const std::int64_t first_step = uav.step_count();
   while (!bk.ended() && uav.time() < deadline) {
     uav.Step();
     bk.AfterStep(uav.time(), uav);
@@ -397,10 +428,12 @@ bool Fly(const RunConfig& cfg, const ExperimentSpec& espec, const RunPlan& plan,
       // terminated on this very step — the fork then finalizes immediately).
       FillSnapshotMeta(cfg, espec, uav, *plan.capture);
       uav.SaveState(*plan.capture);
-      SaveSection(*plan.capture, SnapshotSectionId::kHarness, bk);
-      if (plan.stop_at_capture) return true;
+      bk.Save(*plan.capture);
+      if (plan.stop_at_capture) break;
     }
   }
+  UAVRES_COUNT_N("sim.steps_stepped", uav.step_count() - first_step);
+  if (plan.stop_at_capture && uav.step_count() == capture_step) return true;
   bk.Finish(uav);
   return uav.step_count() >= capture_step;  // the capture step was reached
 }
@@ -416,15 +449,13 @@ std::uint64_t SnapshotConfigDigest(const RunConfig& run, const ExperimentSpec& s
       h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ULL;
     }
   };
-  mix(1);  // digest schema
+  mix(2);  // digest schema
   for (const char c : spec.drone.name) mix(static_cast<std::uint8_t>(c));
   mix(static_cast<std::uint64_t>(spec.mission_index));
   mix(static_cast<std::uint64_t>(spec.drone.plan.waypoints.size()));
   mix(spec.seed_base);
   mix(static_cast<std::uint64_t>(run.recovery ? 1 : 0));
-  mix(static_cast<std::uint64_t>(run.record_trajectory ? 1 : 0));
   mix(static_cast<std::uint64_t>(run.invariants.mode));
-  mix(static_cast<std::uint64_t>(spec.fault.has_value() ? 1 : 0));
   return h;
 }
 
@@ -460,11 +491,12 @@ bool SimulationRunner::RunFromSnapshot(const ExperimentSpec& espec,
   UAVRES_TRACE_SCOPE("sim/run_fork");
   if (snap.version != sim::kSnapshotVersion) return false;
   if (snap.config_digest != SnapshotConfigDigest(cfg_, espec)) return false;
-  // The vehicle re-derives its RNG streams from the donor's stored seed: a
-  // magnitude fork is seed-identical by construction (ExperimentSeed ignores
-  // magnitude); a duration fork keeps the donor's sensor/fault noise streams
-  // — a controlled experiment along the duration axis, not a replay of what
-  // a from-scratch run of the modified spec (different derived seed) does.
+  // The vehicle re-derives its RNG streams from the donor's stored seed,
+  // which is every fork's own (ExperimentSeed ignores the fault, and the
+  // digest pins the mission and seed base). The injector streams come from
+  // the donor's kFaults section, so a duration fork keeps the donor's fault
+  // noise — a controlled experiment along the duration axis, not a replay of
+  // what a from-scratch run of the modified spec does.
   return Fly(cfg_, espec, {.seed = snap.seed, .from = &snap, .deadline_s = deadline_s}, out);
 }
 

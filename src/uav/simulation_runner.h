@@ -57,16 +57,21 @@ struct RunOutput {
   /// Control steps this run executed. For a RunFromSnapshot resume the count
   /// includes the donor's pre-capture prefix (it is part of the restored
   /// bookkeeping), so it equals the full-run count for the same spec; the
-  /// *incremental* cost of a fork is `steps - snapshot.step_count`.
+  /// *incremental* cost of a fork is `steps - snapshot.step_count` (the
+  /// `sim.steps_stepped` counter sums only those).
   std::uint64_t steps{0};
 };
 
 /// Default flight-stack configuration derived from a scenario drone spec.
 UavConfig MakeUavConfig(const core::DroneSpec& spec);
 
-/// Stable per-experiment seed: (mission, fault, duration) -> 64-bit seed.
-std::uint64_t ExperimentSeed(std::uint64_t base, int mission_index,
-                             const std::optional<core::FaultSpec>& fault);
+/// Stable per-experiment seed of the vehicle, sensor and physics streams:
+/// (seed base, mission) -> 64-bit seed. The fault is deliberately not an
+/// input: every cell of a mission flies its gold run's noise up to the fault
+/// onset, so a faulty run can resume from its gold run's onset snapshot. The
+/// fault's identity seeds only its injector streams (FaultStreamSeed,
+/// uav/modules.h).
+std::uint64_t ExperimentSeed(std::uint64_t base, int mission_index);
 
 /// Complete, self-describing specification of one experiment: which drone
 /// flies which mission, which fault (if any) is injected, and the seed base.
@@ -84,15 +89,16 @@ struct ExperimentSpec {
   int mission_index{0};                  ///< index in the scenario (seed input)
   std::optional<core::FaultSpec> fault;  ///< nullopt = gold (fault-free) run
   std::uint64_t seed_base{2024};
-  /// Optional gold reference for bubble-violation counting. Without it,
-  /// bubble radii are still tracked (the containment-ordering invariant
-  /// needs them) but deviations are not counted as violations. Non-owning;
-  /// must outlive the Run call.
-  const telemetry::Trajectory* gold{nullptr};
+  /// Optional gold reference for bubble-violation counting: the gold run's
+  /// recorded Trajectory or its compact GoldPath. Without it, bubble radii
+  /// are still tracked (the containment-ordering invariant needs them) but
+  /// deviations are not counted as violations. Non-owning; must outlive the
+  /// Run call.
+  const telemetry::TruePath* gold{nullptr};
 
   bool IsGold() const { return !fault.has_value(); }
-  /// The derived simulation seed (ExperimentSeed over the identity fields).
-  std::uint64_t Seed() const { return ExperimentSeed(seed_base, mission_index, fault); }
+  /// The vehicle's seed (ExperimentSeed of the seed base and mission).
+  std::uint64_t Seed() const { return ExperimentSeed(seed_base, mission_index); }
 };
 
 /// "mission 3 'VLC-04 W-E' fault=stuck@gyro t=[100,102) seed=2024" (gold
@@ -130,12 +136,18 @@ class SimulationRunner {
   // runs to termination; the result is bit-identical to an uncheckpointed
   // run of the same spec when the spec matches the donor's (fault magnitude
   // may differ freely: injector RNG draws are magnitude-independent). A
-  // duration fork reuses the donor's RNG streams via snap.seed — a
-  // controlled experiment, not a replay of what a from-scratch run of the
-  // modified spec would do. Returns false on a version/config/structure
-  // mismatch (outputs are then meaningless). `deadline_s` > 0 caps simulated
-  // time (bisection probes stop shortly after the fault window instead of
-  // flying the rest of the mission); hitting it classifies as kTimeout.
+  // duration fork reuses the donor's injector streams (the kFaults section)
+  // — a controlled experiment, not a replay of what a from-scratch run of
+  // the modified spec would do. A fault-free donor (a gold run) seeds a
+  // faulty fork too: the fork keeps its freshly built injectors, which is
+  // exact while no fault window has opened by the capture, so the faulty
+  // run equals its from-scratch run bit for bit. A donor that recorded its
+  // trajectory seeds a fork that records none; a recording fork needs a
+  // recording donor. Returns false on a version/config/structure mismatch,
+  // or a fault-free donor captured after a window of the fork's opened
+  // (outputs are then meaningless). `deadline_s` > 0 caps simulated time
+  // (bisection probes stop shortly after the fault window instead of flying
+  // the rest of the mission); hitting it classifies as kTimeout.
   bool CaptureSnapshot(const ExperimentSpec& spec, double t_snap,
                        sim::Snapshot& snap) const;
   bool RunWithCheckpoint(const ExperimentSpec& spec, double t_snap,
@@ -149,9 +161,10 @@ class SimulationRunner {
 
 /// Structural digest of (harness config, experiment spec) stamped into every
 /// snapshot and re-derived before a resume: drone identity, mission, seed
-/// base and harness shape (recovery, trajectory recording, invariant mode).
-/// Deliberately excludes fault magnitude, start time and duration — those
-/// are exactly the axes a fork varies.
+/// base and harness shape (recovery, invariant mode). Deliberately excludes
+/// the fault — the axis a fork varies, down to none in a gold donor — and
+/// trajectory recording, which RunFromSnapshot checks against the donor's
+/// sections itself.
 std::uint64_t SnapshotConfigDigest(const RunConfig& run, const ExperimentSpec& spec);
 
 /// Terminal verdict on one stepping vehicle, shared by SimulationRunner and

@@ -82,14 +82,15 @@ void Uav::SaveState(sim::Snapshot& snap) {
   });
 }
 
-bool Uav::RestoreState(const sim::Snapshot& snap) {
+bool Uav::RestoreState(const sim::Snapshot& snap, bool restore_faults) {
   // Detector presence must match: a snapshot from a detector-enabled run
   // cannot resume on a detector-less vehicle (and vice versa).
   const bool has_detector =
       snap.Find(static_cast<std::uint32_t>(SnapshotSectionId::kDetector)) != nullptr;
   if (has_detector != detectors_.enabled()) return false;
-  return Sections([&snap](SnapshotSectionId id, auto& fields) {
-    return RestoreSection(snap, id, fields);
+  return Sections([&snap, restore_faults](SnapshotSectionId id, auto& fields) {
+    return (id == SnapshotSectionId::kFaults && !restore_faults) ||
+           RestoreSection(snap, id, fields);
   });
 }
 

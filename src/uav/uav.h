@@ -45,7 +45,8 @@ enum class SnapshotSectionId : std::uint32_t {
   kFaults = 13,    ///< injector RNG/freeze state (never the specs)
   kDetector = 14,  ///< present only when the online detector is enabled
   // 15..31 reserved for future vehicle sections.
-  kHarness = 32,  ///< StepBookkeeper (simulation_runner.cpp), not written here
+  kHarness = 32,     ///< StepBookkeeper (simulation_runner.cpp), not written here
+  kTrajectory = 33,  ///< the harness's trajectory so far, when the run records one
 };
 
 /// Appends section `id` to `snap`: `fields` (a type with a codec field list,
@@ -92,8 +93,15 @@ class Uav {
   /// Restore from a snapshot taken by SaveState on a structurally identical
   /// vehicle. Returns false (vehicle state undefined — discard it) on any
   /// missing, truncated, over-long or corrupt section (a bool byte above 1,
-  /// an enum out of range) or a detector-presence mismatch.
-  bool RestoreState(const sim::Snapshot& snap);
+  /// an enum out of range) or a detector-presence mismatch. Without
+  /// `restore_faults` the kFaults section is skipped and the fault stage
+  /// stays as constructed: a fork of a donor that had no fault, valid while
+  /// FaultsIdleThrough the capture time.
+  bool RestoreState(const sim::Snapshot& snap, bool restore_faults = true);
+
+  /// True when no fault injector's window opens at or before `t`, so the
+  /// stage is still in its constructed state after flying to `t`.
+  bool FaultsIdleThrough(double t) const { return faults_.IdleThrough(t); }
 
   const sim::Quadrotor& quad() const { return physics_.quad(); }
   const estimation::Ekf& ekf() const { return estimator_.ekf(); }

@@ -85,7 +85,7 @@ FleetRunOutput FleetRunner::Run(const std::vector<DroneSpec>& fleet,
           "s, drone " + std::to_string(id) + " dt=" + std::to_string(flight_dt) + "s)");
     }
     const std::uint64_t seed = uav::ExperimentSeed(
-        math::HashCombine(seed_base, static_cast<std::uint64_t>(id) + 0x517EULL), id, fault);
+        math::HashCombine(seed_base, static_cast<std::uint64_t>(id) + 0x517EULL), id);
 
     Flight f;
     f.id = id;

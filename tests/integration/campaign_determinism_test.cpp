@@ -64,16 +64,11 @@ std::string Fingerprint(const CampaignResults& results) {
   std::string out;
   for (const auto& g : results.gold) Append(out, g);
   for (const auto& f : results.faulty) Append(out, f);
-  for (const auto& traj : results.gold_trajectories) {
-    for (const auto& s : traj.Samples()) {
-      Append(out, s.t);
-      Append(out, s.pos_true.x);
-      Append(out, s.pos_true.y);
-      Append(out, s.pos_true.z);
-      Append(out, s.pos_est.x);
-      Append(out, s.pos_est.y);
-      Append(out, s.pos_est.z);
-      Append(out, static_cast<int>(s.fault_active));
+  for (const auto& path : results.gold_trajectories) {
+    for (const auto& p : path.Points()) {
+      Append(out, p.x);
+      Append(out, p.y);
+      Append(out, p.z);
     }
     out += "--\n";
   }

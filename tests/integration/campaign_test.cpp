@@ -2,6 +2,9 @@
 // execution, and end-to-end table building on a reduced grid.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "core/campaign.h"
 #include "core/tables.h"
 
@@ -120,6 +123,32 @@ TEST(CampaignConfig, FromEnvironmentDefaults) {
   const auto cfg = CampaignConfig::FromEnvironment();
   EXPECT_EQ(cfg.seed_base, 2024u);
   EXPECT_EQ(cfg.durations.size(), 4u);
+}
+
+/// FromEnvironment with only `name` set to `value`; `*warning` gets stderr.
+CampaignConfig FromEnvironmentWith(const char* name, const char* value, std::string* warning) {
+  ::setenv(name, value, 1);
+  ::testing::internal::CaptureStderr();
+  CampaignConfig cfg = CampaignConfig::FromEnvironment();
+  *warning = ::testing::internal::GetCapturedStderr();
+  ::unsetenv(name);
+  return cfg;
+}
+
+TEST(CampaignConfig, MalformedEnvironmentCountsWarnAndAreIgnored) {
+  // Parsed in full like the CLI's flags: a trailing byte, a fraction or an
+  // int overflow is a malformed count, not a prefix to keep.
+  std::string warning;
+  for (const char* bad : {"1x", "2.5", "99999999999"}) {
+    EXPECT_EQ(FromEnvironmentWith("UAVRES_MISSIONS", bad, &warning).mission_limit, 0) << bad;
+    EXPECT_NE(warning.find("UAVRES_MISSIONS"), std::string::npos) << bad;
+    EXPECT_EQ(FromEnvironmentWith("UAVRES_THREADS", bad, &warning).num_threads, 0) << bad;
+    EXPECT_NE(warning.find("UAVRES_THREADS"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(FromEnvironmentWith("UAVRES_MISSIONS", "3", &warning).mission_limit, 3);
+  EXPECT_EQ(warning, "");
+  EXPECT_EQ(FromEnvironmentWith("UAVRES_THREADS", "2", &warning).num_threads, 2);
+  EXPECT_EQ(warning, "");
 }
 
 }  // namespace

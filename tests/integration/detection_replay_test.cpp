@@ -116,7 +116,7 @@ RecordedCase FlyAndRecord(const core::FaultSpec& fault) {
   header.recovery = true;
   EXPECT_TRUE(bus::WriteBusLogHeader(os, header));
 
-  uav::Uav uav(cfg, spec.plan, fault, uav::ExperimentSeed(kSeed, kMission, fault));
+  uav::Uav uav(cfg, spec.plan, fault, uav::ExperimentSeed(kSeed, kMission));
   uav.StartRecording(&os);
   RecordedCase out;
   while (uav.time() < kRecordUntilS) {

@@ -43,7 +43,7 @@ double DetectionLatency(const core::FaultSpec& fault) {
   cfg.detector.enabled = true;
   uav::Uav uav(cfg, spec.plan,
                std::optional<core::FaultSpec>(fault),
-               uav::ExperimentSeed(2024, 0, fault));
+               uav::ExperimentSeed(2024, 0));
   const double until = fault.start_time_s + fault.duration_s + 10.0;
   while (uav.time() < until && !uav.detector().failover_active()) uav.Step();
   const double confirm = uav.detector().first_confirm_time_s();

@@ -2,6 +2,8 @@
 // EKF, controllers, commander) flying missions from the Valencia scenario.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/scenario.h"
 #include "uav/simulation_runner.h"
 #include "uav/uav.h"
@@ -108,25 +110,37 @@ TEST(Uav, TakesOffWithinTenSeconds) {
   EXPECT_GT(-vehicle.quad().state().pos.z, 5.0);
 }
 
-TEST(ExperimentSeed, DistinguishesEveryGridCell) {
-  core::FaultSpec a;
-  a.type = core::FaultType::kZeros;
-  a.target = core::FaultTarget::kImu;
-  a.duration_s = 2.0;
-  core::FaultSpec b = a;
-  b.duration_s = 5.0;
-  core::FaultSpec c = a;
-  c.target = core::FaultTarget::kGyrometer;
-  core::FaultSpec d = a;
-  d.type = core::FaultType::kMax;
+TEST(ExperimentSeed, GridCellsShareTheVehicleSeedAndSplitTheInjectorStreams) {
+  // Every cell of a mission flies the gold run's vehicle, sensor and physics
+  // streams, so its pre-onset prefix is the gold run's bit for bit; the
+  // fault's (type, target, duration) picks its injector streams alone.
+  const std::uint64_t vehicle = uav::ExperimentSeed(kSeed, 0);
+  EXPECT_NE(vehicle, uav::ExperimentSeed(kSeed, 1));
+  EXPECT_NE(vehicle, uav::ExperimentSeed(kSeed + 1, 0));
 
-  const auto base = uav::ExperimentSeed(kSeed, 0, a);
-  EXPECT_NE(base, uav::ExperimentSeed(kSeed, 1, a));
-  EXPECT_NE(base, uav::ExperimentSeed(kSeed, 0, b));
-  EXPECT_NE(base, uav::ExperimentSeed(kSeed, 0, c));
-  EXPECT_NE(base, uav::ExperimentSeed(kSeed, 0, d));
-  EXPECT_NE(base, uav::ExperimentSeed(kSeed, 0, std::nullopt));
-  EXPECT_EQ(base, uav::ExperimentSeed(kSeed, 0, a));
+  const auto& drone = core::SharedValenciaScenario()[0];
+  EXPECT_EQ(uav::ExperimentSpec({drone, 0, std::nullopt, kSeed, nullptr}).Seed(), vehicle);
+  std::set<std::uint64_t> streams;
+  std::size_t cells = 0;
+  for (double duration : core::kInjectionDurations) {
+    for (core::FaultTarget target : core::kAllFaultTargets) {
+      for (core::FaultType type : core::kAllFaultTypes) {
+        const core::FaultSpec fault{type, target, core::kInjectionStartS, duration, 1.0};
+        EXPECT_EQ(uav::ExperimentSpec({drone, 0, fault, kSeed, nullptr}).Seed(), vehicle);
+        const std::uint64_t stream = uav::FaultStreamSeed(vehicle, fault);
+        EXPECT_NE(stream, vehicle);
+        streams.insert(stream);
+        ++cells;
+        // Start time and magnitude are fork axes, not stream inputs.
+        core::FaultSpec moved = fault;
+        moved.start_time_s += 7.0;
+        moved.magnitude = 0.5;
+        EXPECT_EQ(uav::FaultStreamSeed(vehicle, moved), stream);
+      }
+    }
+  }
+  EXPECT_EQ(cells, 84u);
+  EXPECT_EQ(streams.size(), cells);  // one injector stream per (type, target, duration)
 }
 
 }  // namespace

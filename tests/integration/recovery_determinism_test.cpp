@@ -89,7 +89,7 @@ TEST(RecoveryDeterminism, RecoveryCampaignByteIdenticalAcrossThreadsAndBatches) 
 
 // Historical cache keys (default RunConfig, recovery off, seed base 2024,
 // BuildValenciaScenario drones, faults at kInjectionStartS), captured under
-// experiment-identity schema v3 (api::kSpecSchemaVersion, which the key
+// experiment-identity schema v4 (api::kSpecSchemaVersion, which the key
 // recipe mixes in). Keys must never drift within a schema version: a drift
 // would silently invalidate every user's cached campaign. A deliberate
 // schema bump DOES re-key every entry — that is the point of mixing the
@@ -113,15 +113,15 @@ std::optional<core::FaultSpec> Fault(core::FaultType type, core::FaultTarget tar
 TEST(RecoveryDeterminism, RecoveryOffCacheKeysArePinned) {
   const auto fleet = core::BuildValenciaScenario();
   const HistoricalKey kHistorical[] = {
-      {0, std::nullopt, 14598418742160513096ULL},
-      {3, std::nullopt, 10367227215319581200ULL},
-      {9, std::nullopt, 11865932611956651048ULL},
+      {0, std::nullopt, 8699998946838784913ULL},
+      {3, std::nullopt, 1155371309960634967ULL},
+      {9, std::nullopt, 14922374912957739565ULL},
       {0, Fault(core::FaultType::kZeros, core::FaultTarget::kGyrometer, 2.0),
-       6962508039553525711ULL},
+       8164406632116859894ULL},
       {7, Fault(core::FaultType::kNoise, core::FaultTarget::kImu, 0.5),
-       3142968371394529958ULL},
+       14342322927713679477ULL},
       {4, Fault(core::FaultType::kMax, core::FaultTarget::kAccelerometer, 5.0),
-       14197094665135430961ULL},
+       11863345330188354280ULL},
   };
 
   const uav::RunConfig off;  // defaults: recovery false

@@ -6,8 +6,9 @@
 //     never deadlocks the accepted work,
 //   * the versioned handshake — a schema-skewed client is refused before
 //     any spec is interpreted,
-//   * byte-identity — a served result equals the offline library run, and
-//     a daemon over an offline campaign's store answers from it,
+//   * byte-identity — a served result equals the offline library run, a
+//     daemon over an offline campaign's store answers from it, and one over
+//     a stored gold run forks its cold faulty specs from a recaptured prefix,
 //   * connection reaping — clients that come and go leave no fds behind,
 //   * accept backoff — out of descriptors, the accept loop sleeps instead of
 //     spinning on the connection waiting in its backlog.
@@ -29,6 +30,7 @@
 #include "core/campaign.h"
 #include "serve/client.h"
 #include "serve/net.h"
+#include "telemetry/metrics_registry.h"
 
 namespace uavres::serve {
 namespace {
@@ -329,6 +331,60 @@ TEST(ServeServer, AnswersOfflineCampaignFromTheStore) {
   const auto stats = server->stats();
   EXPECT_EQ(stats.computed, 0u);
   EXPECT_EQ(stats.gold_computed, 0u);
+}
+
+TEST(ServeServer, StoredGoldIsRecapturedAsAPrefixAndColdFaultyRepliesFork) {
+  // A store that holds the gold entry and none of its faulty runs: the
+  // daemon does not fly the gold run again, only its 90 s prefix for the
+  // onset snapshot, and every cold faulty spec resumes from that snapshot.
+  const std::string dir = MakeCacheDir("stored_gold");
+  const api::RunConfig run;
+  const auto& fleet = core::SharedValenciaScenario();
+  {
+    core::ResultStore store(dir);
+    core::RunGold(store, run, {fleet[0], 0, std::nullopt, 2024, nullptr},
+                  core::kInjectionStartS);
+  }
+  const api::Campaign campaign(
+      api::CampaignConfig::Builder().Missions(1).Durations({2.0}).CacheDir("").Build());
+  const api::CampaignResults offline = campaign.Run();
+  const auto grid = campaign.GridFaults();
+
+  std::vector<WireSpec> specs(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    specs[i] = FaultySpec(0, static_cast<std::uint8_t>(grid[i].type), grid[i].duration_s);
+    specs[i].fault_target = static_cast<std::uint8_t>(grid[i].target);
+  }
+  const auto counter = [](const char* name) {
+    return telemetry::MetricsRegistry::Global().GetCounter(name).Value();
+  };
+  const std::uint64_t steps0 = counter("sim.steps");
+  const std::uint64_t stepped0 = counter("sim.steps_stepped");
+
+  ServerConfig cfg;
+  cfg.cache_dir = dir;
+  TestServer server(cfg);
+  Client client(ClientOpts(server.port(), "stored-gold"));
+  std::string err;
+  ASSERT_TRUE(client.Connect(&err)) << err;
+  std::vector<Client::Outcome> outcomes;
+  ASSERT_TRUE(client.SubmitAndWait(specs, outcomes, &err)) << err;
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << "spec " << i << ": " << outcomes[i].reject_detail;
+    EXPECT_EQ(outcomes[i].source, telemetry::ResultSource::kComputed) << "spec " << i;
+    std::ostringstream os;
+    core::WriteMissionResult(os, offline.faulty[i]);
+    EXPECT_EQ(outcomes[i].result_bytes, os.str()) << "spec " << i;
+  }
+  const auto stats = server->stats();
+  EXPECT_EQ(stats.computed, specs.size());
+  EXPECT_EQ(stats.gold_computed, 0u);
+  // Each fork skips one prefix; the recapture flies exactly one, and no
+  // full gold run adds its steps (sim.steps counts only finished runs).
+  const std::uint64_t prefix = 22'500;  // 90 s at 250 Hz
+  EXPECT_EQ((counter("sim.steps") - steps0) - (counter("sim.steps_stepped") - stepped0),
+            (specs.size() - 1) * prefix);
 }
 
 TEST(ServeServer, StatsRequestReportsCountersAndMetrics) {

@@ -207,7 +207,7 @@ TEST(SpecCodec, SchemaVersionMatchesApiContract) {
   // One constant, three consumers (wire, cache key, store): the wire value
   // IS the canonical definition — this pins today's value so a bump is a
   // deliberate, reviewed act that also re-pins the historical cache keys.
-  EXPECT_EQ(kSpecSchemaVersion, 3u);
+  EXPECT_EQ(kSpecSchemaVersion, 4u);
 }
 
 }  // namespace

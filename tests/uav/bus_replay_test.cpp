@@ -29,7 +29,7 @@ std::string RecordSteps(int mission, const std::optional<core::FaultSpec>& fault
   header.has_fault = fault.has_value();
   EXPECT_TRUE(bus::WriteBusLogHeader(os, header));
 
-  Uav uav(cfg, spec.plan, fault, ExperimentSeed(2024, mission, fault));
+  Uav uav(cfg, spec.plan, fault, ExperimentSeed(2024, mission));
   uav.StartRecording(&os);
   for (int i = 0; i < steps; ++i) uav.Step();
   EXPECT_GT(uav.recorded_frames(), 0u);

@@ -129,7 +129,10 @@ TEST(FleetRunner, LateralFaultCreatesConflict) {
   fault.duration_s = 30.0;
   cfg.fault = fault;
   cfg.faulted_drone = 1;
-  const auto out = FleetRunner(cfg).Run(fleet, 2024);
+  // Whether the faulted drone closes in on a neighbour before it fails safe
+  // or crashes depends on its sensor noise: seed base 2026 does, at the
+  // current seeding and at the one before the fault left the vehicle seed.
+  const auto out = FleetRunner(cfg).Run(fleet, 2026);
   EXPECT_GE(out.conflicts.conflicts, 1);
   EXPECT_LT(out.conflicts.min_separation_m, 15.0);
 }

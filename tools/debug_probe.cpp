@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   fault.type = *type;
   fault.duration_s = duration;
   uav::Uav u(uav::MakeUavConfig(spec), spec.plan, fault,
-             uav::ExperimentSeed(2024, mission, fault));
+             uav::ExperimentSeed(2024, mission));
   double next_print = 88.0;
   while (u.time() < 120.0 && !u.crash_detector().crashed()) {
     u.Step();
