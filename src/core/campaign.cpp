@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -63,16 +62,6 @@ uav::RunConfig HarnessFor(const uav::RunConfig& base, const uav::ExperimentSpec&
 uav::RunOutput& Scratch() {
   thread_local uav::RunOutput scratch;
   return scratch;
-}
-
-/// Commits the simulated run in `out` under `key`; a gold entry takes the
-/// trajectory.
-ExperimentEntry Commit(ResultStore& store, std::uint64_t key, const uav::ExperimentSpec& spec,
-                       uav::RunOutput& out) {
-  ExperimentEntry entry{{out.result, std::nullopt}, false};
-  if (spec.IsGold()) entry.run.trajectory = std::move(out.trajectory);
-  if (store.enabled()) store.Store(key, entry.run);
-  return entry;
 }
 
 }  // namespace
@@ -177,49 +166,75 @@ std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpe
   return ExperimentCacheKey(HarnessFor(base, spec), spec);
 }
 
-ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
-                              uav::ExperimentSpec spec,
-                              const std::function<GoldReference()>& gold) {
-  const std::uint64_t key = ExperimentKey(base, spec);
-  if (auto cached = store.Load(key, /*require_trajectory=*/spec.IsGold())) {
-    return {std::move(*cached), true};
-  }
-  // Resolve the reference before the scratch is used: a lazy `gold` may
-  // simulate the mission's gold run on this same thread.
-  const GoldReference ref = !spec.IsGold() && gold ? gold() : GoldReference{};
-  spec.gold = ref.path;
-  const uav::SimulationRunner runner(HarnessFor(base, spec));
-  uav::RunOutput& out = Scratch();
-  // A refused fork (the fault opens before the snapshot) flies the prefix.
-  if (ref.onset == nullptr || !runner.RunFromSnapshot(spec, *ref.onset, out)) {
-    runner.RunInto(spec, out);
-  }
-  return Commit(store, key, spec, out);
+GoldReference::GoldReference(telemetry::GoldPath path, std::optional<sim::Snapshot> onset,
+                             const uav::RunConfig& run, uav::ExperimentSpec spec, double onset_s)
+    : path_(std::move(path)),
+      run_(run),
+      spec_(std::move(spec)),
+      onset_s_(onset_s),
+      onset_(std::move(onset)) {
+  // A fork records no trajectory, so the recapture records none either: the
+  // snapshot digest does not cover recording.
+  run_.record_trajectory = false;
+}
+
+const sim::Snapshot* GoldReference::Onset() const {
+  std::call_once(recaptured_, [this] {
+    if (onset_) return;
+    sim::Snapshot snap;
+    if (uav::SimulationRunner(run_).CaptureSnapshot(spec_, onset_s_, snap)) {
+      onset_ = std::move(snap);
+    }
+  });
+  return onset_ ? &*onset_ : nullptr;
 }
 
 GoldRun RunGold(ResultStore& store, const uav::RunConfig& base, const uav::ExperimentSpec& spec,
                 double onset_s) {
   const std::uint64_t key = ExperimentKey(base, spec);
   if (auto cached = store.Load(key, /*require_trajectory=*/true)) {
-    return {{std::move(*cached), true}, std::nullopt};
+    return {std::move(cached->result), true,
+            std::make_unique<GoldReference>(telemetry::GoldPath(*cached->trajectory),
+                                            std::nullopt, base, spec, onset_s)};
   }
-  GoldRun gold{{}, sim::Snapshot{}};
   uav::RunOutput& out = Scratch();
-  if (!uav::SimulationRunner(HarnessFor(base, spec))
-           .RunWithCheckpoint(spec, onset_s, *gold.onset, out)) {
-    gold.onset.reset();
+  std::optional<sim::Snapshot> onset{std::in_place};
+  if (uav::SimulationRunner(base).RunWithCheckpoint(spec, onset_s, *onset, out)) {
+    // The snapshot's largest section is the trajectory recorded so far; no
+    // fork reads it.
+    std::erase_if(onset->sections, [](const sim::SnapshotSection& s) {
+      return s.id == static_cast<std::uint32_t>(uav::SnapshotSectionId::kTrajectory);
+    });
+  } else {
+    onset.reset();
   }
-  gold.entry = Commit(store, key, spec, out);
+  // Taken out of the scratch, so the recording is freed once it is stored.
+  telemetry::Trajectory trajectory = std::move(out.trajectory);
+  GoldRun gold{out.result, false,
+               std::make_unique<GoldReference>(telemetry::GoldPath(trajectory),
+                                               std::move(onset), base, spec, onset_s)};
+  if (store.enabled()) store.Store(key, {out.result, std::move(trajectory)});
   return gold;
 }
 
-std::optional<sim::Snapshot> CaptureOnset(const uav::RunConfig& base,
-                                          const uav::ExperimentSpec& spec, double onset_s) {
-  sim::Snapshot snap;
-  if (!uav::SimulationRunner(HarnessFor(base, spec)).CaptureSnapshot(spec, onset_s, snap)) {
-    return std::nullopt;
+ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
+                              uav::ExperimentSpec spec,
+                              const std::function<const GoldReference*()>& gold) {
+  const std::uint64_t key = ExperimentKey(base, spec);
+  if (auto cached = store.Load(key)) return {std::move(cached->result), true};
+  // Resolve the reference before the scratch is used: a lazy `gold` may
+  // simulate the mission's gold run on this same thread.
+  const GoldReference* ref = gold ? gold() : nullptr;
+  const sim::Snapshot* onset = ref != nullptr ? ref->Onset() : nullptr;
+  spec.gold = ref != nullptr ? &ref->path() : nullptr;
+  const uav::SimulationRunner runner(HarnessFor(base, spec));
+  uav::RunOutput& out = Scratch();
+  // A refused fork (the fault opens before the snapshot) flies the prefix.
+  if (onset == nullptr || !runner.RunFromSnapshot(spec, *onset, out)) {
+    runner.RunInto(spec, out);
   }
-  return snap;
+  if (store.enabled()) store.Store(key, {out.result, std::nullopt});
+  return {out.result, false};
 }
 
 CampaignResults Campaign::Run(
@@ -259,10 +274,8 @@ CampaignResults Campaign::Run(
                                cfg_.seed_base, nullptr};
   };
 
-  // Phase 1: gold runs (references needed before any faulty run). Each one
-  // keeps its snapshot at the grid's fault onset, its faulty runs' fork
-  // point, unless it came from the store.
-  std::vector<std::optional<sim::Snapshot>> onsets(fleet_.size());
+  // Phase 1: gold runs (references needed before any faulty run).
+  std::vector<std::unique_ptr<GoldReference>> references(fleet_.size());
   {
     UAVRES_TRACE_SCOPE("campaign/gold-phase");
     ParallelFor(
@@ -270,9 +283,8 @@ CampaignResults Campaign::Run(
         [&](std::size_t i) {
           UAVRES_TRACE_SCOPE("campaign/gold-run");
           GoldRun gold = RunGold(store, cfg_.run, gold_spec(i), cfg_.injection_start_s);
-          results.gold[i] = std::move(gold.entry.run.result);
-          results.gold_trajectories[i] = telemetry::GoldPath(*gold.entry.run.trajectory);
-          onsets[i] = std::move(gold.onset);
+          results.gold[i] = std::move(gold.result);
+          references[i] = std::move(gold.reference);
           CountCampaignResult(results.gold[i]);
           report();
         },
@@ -281,19 +293,7 @@ CampaignResults Campaign::Run(
 
   // Phase 2: faulty runs, flat (mission, fault) grid. Each entry is
   // persisted as its worker finishes (checkpointing), so a killed campaign
-  // resumes with only the missing runs recomputed. A gold run loaded from
-  // the store brought no snapshot: the first faulty miss of its mission
-  // recaptures it, and a fully cached mission never flies.
-  std::vector<std::once_flag> recaptured(fleet_.size());
-  const auto reference = [&](std::size_t mission) {
-    std::call_once(recaptured[mission], [&] {
-      if (!onsets[mission]) {
-        onsets[mission] = CaptureOnset(cfg_.run, gold_spec(mission), cfg_.injection_start_s);
-      }
-    });
-    const std::optional<sim::Snapshot>& onset = onsets[mission];
-    return GoldReference{&results.gold_trajectories[mission], onset ? &*onset : nullptr};
-  };
+  // resumes with only the missing runs recomputed.
   {
     UAVRES_TRACE_SCOPE("campaign/faulty-phase");
     const std::size_t n_jobs = results.faulty.size();
@@ -308,14 +308,17 @@ CampaignResults Campaign::Run(
           uav::ExperimentSpec spec = gold_spec(mission);
           spec.fault = grid[j % grid.size()];
           results.faulty[j] =
-              RunExperiment(store, cfg_.run, spec, [&] { return reference(mission); })
-                  .run.result;
+              RunExperiment(store, cfg_.run, spec, [&] { return references[mission].get(); })
+                  .result;
           CountCampaignResult(results.faulty[j]);
           report();
         },
         sched);
   }
 
+  for (std::size_t i = 0; i < fleet_.size(); ++i) {
+    results.gold_trajectories[i] = references[i]->TakePath();
+  }
   results.cache = store.stats();
   return results;
 }

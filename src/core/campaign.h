@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -104,61 +106,75 @@ struct CampaignResults {
   std::size_t TotalRuns() const { return gold.size() + faulty.size(); }
 };
 
-/// One experiment's store entry (the trajectory is set for a gold spec only)
-/// and whether it was loaded rather than simulated.
-struct ExperimentEntry {
-  StoredRun run;
-  bool hit{false};
-};
-
-/// What a faulty run takes from its mission's gold run (both non-owning):
-/// the true path its bubble deviation is measured against, and the gold
-/// run's snapshot just before the fault onset, or null. ExperimentSeed keeps
-/// the fault out of the vehicle's streams, so a faulty run flies its gold
-/// run's prefix bit for bit up to the onset; with the snapshot it resumes
-/// there instead of flying that prefix again.
-struct GoldReference {
-  const telemetry::TruePath* path{nullptr};
-  const sim::Snapshot* onset{nullptr};
-};
-
-/// The one path every experiment of the grid takes, offline (Campaign::Run)
-/// and in the serve daemon, so both key, harness and store a spec the same
-/// way: under `base`, a gold spec records its trajectory (the bubble
-/// reference of its mission's faulty runs) and a faulty spec records none.
+/// What a mission's faulty runs take from its gold run: the true path their
+/// bubble deviation is measured against, and the gold run's snapshot just
+/// before the fault onset. ExperimentSeed keeps the fault out of the
+/// vehicle's streams, so a faulty run flies its gold run's prefix bit for
+/// bit up to the onset; from the snapshot it resumes there instead of
+/// flying that prefix again.
 ///
-/// RunExperiment returns the store's entry for `spec`, which for a gold spec
-/// must carry the trajectory; on a miss it simulates `spec` on this thread's
-/// scratch and commits the result. `gold` supplies a faulty spec's
-/// reference and is called only on a miss, so a caller can resolve its
-/// mission's gold lazily; what it points to must outlive the call. A faulty
-/// miss with an onset snapshot resumes from it (RunFromSnapshot) when the
-/// fault opens after the snapshot, and flies from t = 0 otherwise; both give
-/// the same bytes.
-ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
-                              uav::ExperimentSpec spec,
-                              const std::function<GoldReference()>& gold = {});
+/// A gold run just flown brings its snapshot. One loaded from the store
+/// brings none (the store keeps no snapshots): the first Onset() call
+/// recaptures it with a flight of the prefix alone, so a mission whose
+/// faulty runs are all cached never flies. Either way the snapshot holds no
+/// recorded trajectory, which no fork reads. Onset() is thread-safe.
+class GoldReference {
+ public:
+  /// `run` and `spec` are the gold run's harness and spec, for a recapture.
+  GoldReference(telemetry::GoldPath path, std::optional<sim::Snapshot> onset,
+                const uav::RunConfig& run, uav::ExperimentSpec spec, double onset_s);
 
-/// A gold spec's entry plus its snapshot just before `onset_s`, the fork
-/// point of its mission's faulty runs.
-struct GoldRun {
-  ExperimentEntry entry;
-  /// Taken as the gold run flies on a store miss; empty on a hit (the store
-  /// keeps no snapshots: CaptureOnset recaptures it) or when the run ended
-  /// before onset_s.
-  std::optional<sim::Snapshot> onset;
+  const telemetry::GoldPath& path() const { return path_; }
+  /// Moves the path out (into CampaignResults); the reference is spent.
+  telemetry::GoldPath TakePath() { return std::move(path_); }
+
+  /// The snapshot just before the onset, or null when the run ends first.
+  const sim::Snapshot* Onset() const;
+
+ private:
+  telemetry::GoldPath path_;
+  uav::RunConfig run_;  ///< the gold harness, recording nothing
+  uav::ExperimentSpec spec_;
+  double onset_s_;
+  mutable std::once_flag recaptured_;
+  mutable std::optional<sim::Snapshot> onset_;
 };
 
-/// RunExperiment of the gold spec `spec` that also keeps its onset snapshot.
+/// A gold spec's result, whether it was loaded rather than simulated, and
+/// its mission's reference.
+struct GoldRun {
+  MissionResult result;
+  bool hit{false};
+  std::unique_ptr<GoldReference> reference;
+};
+
+/// The one path of a gold spec, offline (Campaign::Run) and in the serve
+/// daemon: the store's entry for `spec`, which carries the recorded
+/// trajectory, or on a miss a simulation that records it and captures the
+/// snapshot just before `onset_s` as it flies, committed to the store.
 GoldRun RunGold(ResultStore& store, const uav::RunConfig& base, const uav::ExperimentSpec& spec,
                 double onset_s);
 
-/// The gold spec `spec`'s snapshot just before `onset_s`, from a flight of
-/// that prefix only; nullopt when the run ends first.
-std::optional<sim::Snapshot> CaptureOnset(const uav::RunConfig& base,
-                                          const uav::ExperimentSpec& spec, double onset_s);
+/// A faulty spec's result and whether it was loaded rather than simulated.
+struct ExperimentEntry {
+  MissionResult result;
+  bool hit{false};
+};
 
-/// The store key RunExperiment uses for `spec` under `base`.
+/// The one path of a faulty spec, offline and in the serve daemon, so both
+/// key, harness and store it the same way: the store's entry for `spec`, or
+/// on a miss a simulation on this thread's scratch, committed to the store.
+/// A faulty run records no trajectory. `gold` supplies the mission's
+/// reference (or null) and is called only on a miss, so a caller can resolve
+/// it lazily; what it points to must outlive the call. A miss resumes from
+/// the reference's onset snapshot when the fault opens after it, and flies
+/// from t = 0 otherwise; both give the same bytes.
+ExperimentEntry RunExperiment(ResultStore& store, const uav::RunConfig& base,
+                              uav::ExperimentSpec spec,
+                              const std::function<const GoldReference*()>& gold = {});
+
+/// The store key RunGold (a gold spec) or RunExperiment (a faulty one) uses
+/// for `spec` under `base`.
 std::uint64_t ExperimentKey(const uav::RunConfig& base, const uav::ExperimentSpec& spec);
 
 /// Runs the grid deterministically (results independent of thread count).

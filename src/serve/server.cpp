@@ -354,15 +354,8 @@ Server::GoldEntry Server::Gold(const api::ExperimentSpec& spec, bool recovery,
     // Leader: fill from the persistent store or simulate the reference run.
     UAVRES_TRACE_SCOPE("serve/gold-run");
     core::GoldRun gold = core::RunGold(store_, run, gold_spec, core::kInjectionStartS);
-    if (gold.entry.hit) {
-      // The store keeps no snapshots: fly the prefix alone to recapture it.
-      gold.onset = core::CaptureOnset(run, gold_spec, core::kInjectionStartS);
-    }
-    const GoldEntry entry{std::make_shared<const OwnedGoldReference>(OwnedGoldReference{
-                              telemetry::GoldPath(*gold.entry.run.trajectory),
-                              std::move(gold.onset)}),
-                          std::move(gold.entry.run.result)};
-    if (gold.entry.hit) {
+    const GoldEntry entry{std::move(gold.reference), std::move(gold.result)};
+    if (gold.hit) {
       UAVRES_COUNT("serve.gold.store-hits");
     } else {
       gold_computed_.fetch_add(1, std::memory_order_relaxed);
@@ -411,13 +404,13 @@ void Server::RunFlight(std::uint64_t key) {
     // faulty runs trigger at most one reference simulation; each of them
     // resumes from the gold run's onset snapshot.
     UAVRES_TRACE_SCOPE("serve/faulty-run");
-    std::shared_ptr<const OwnedGoldReference> gold;
+    std::shared_ptr<const core::GoldReference> gold;
     core::ExperimentEntry entry =
         core::RunExperiment(store_, Harness(flight->recovery), flight->spec, [&] {
           gold = Gold(flight->spec, flight->recovery).reference;
-          return core::GoldReference{&gold->path, gold->onset ? &*gold->onset : nullptr};
+          return gold.get();
         });
-    result = std::move(entry.run.result);
+    result = std::move(entry.result);
     computed = !entry.hit;
     if (computed) {
       computed_.fetch_add(1, std::memory_order_relaxed);

@@ -12,13 +12,15 @@
 //   one in-flight run per key, later submitters attach as waiters) ->
 //   TaskPool (per-client round-robin fairness, bounded admission; full
 //   queue => kRejectedOverload) -> worker: core::RunExperiment (store hit,
-//   else simulate against the mission's gold reference — its true path and
-//   onset snapshot, resolved through an in-memory single-flight gold cache —
-//   and commit) -> fan the result out to every attached waiter.
+//   else simulate against the mission's core::GoldReference — its true path
+//   and onset snapshot, resolved through an in-memory single-flight gold
+//   cache in front of core::RunGold — and commit) -> fan the result out to
+//   every attached waiter.
 //
 // Results are byte-identical to an offline core::Campaign::Run of the same
-// grid: both run every spec through core::RunExperiment with the default
-// harness plus the spec's recovery flag.
+// grid: both run every gold spec through core::RunGold and every faulty one
+// through core::RunExperiment, with the default harness plus the spec's
+// recovery flag.
 #pragma once
 
 #include <atomic>
@@ -32,9 +34,7 @@
 
 #include "core/api.h"
 #include "core/scheduler.h"
-#include "sim/snapshot.h"
 #include "telemetry/spec_codec.h"
-#include "telemetry/trajectory.h"
 
 namespace uavres::serve {
 
@@ -99,22 +99,17 @@ class Server {
   void RunFlight(std::uint64_t key);
   void SendStats(const std::shared_ptr<Connection>& conn);
 
-  /// What a mission's faulty specs take from its gold run: the compact true
-  /// path and the snapshot at the paper's onset (core::GoldReference).
-  struct OwnedGoldReference {
-    telemetry::GoldPath path;
-    std::optional<sim::Snapshot> onset;
-  };
   /// One gold run: its result and its faulty specs' reference.
   struct GoldEntry {
-    std::shared_ptr<const OwnedGoldReference> reference;
+    std::shared_ptr<const core::GoldReference> reference;
     core::MissionResult result;
   };
   /// The gold run of `spec`'s mission, seed base and `recovery`: an
   /// in-memory cache in front of core::RunGold, single-flight so concurrent
   /// dependents trigger one reference run. A gold entry already in the
-  /// store is not flown again: a prefix-only flight recaptures its onset
-  /// snapshot. Sets `*computed` when this call simulated the gold run.
+  /// store is not flown again; its onset snapshot is recaptured, by a
+  /// prefix-only flight, when a faulty miss first asks for it. Sets
+  /// `*computed` when this call simulated the gold run.
   GoldEntry Gold(const api::ExperimentSpec& spec, bool recovery, bool* computed = nullptr);
 
   static void SendFrame(const std::shared_ptr<Connection>& conn,

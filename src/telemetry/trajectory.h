@@ -101,8 +101,8 @@ class GoldPath final : public TruePath {
 };
 
 /// Codec field list (telemetry/binary_io.h): u32 sample count, then the
-/// samples — the trajectory of a .uvrs store entry and of the snapshot's
-/// harness section.
+/// samples — the trajectory of a .uvrs store entry and the snapshot's
+/// trajectory section.
 template <class V>
 void Fields(V& v, Trajectory& t) {
   v(Capped{t.Samples(), kMaxTrajectorySamples});

@@ -11,9 +11,14 @@
 //     health monitor is charged reports the same violations as the run from
 //     t = 0: the donor, having no fault, never noted the anomaly level at
 //     onset, so the fork must take it from the restored monitor.
+//   * A gold run loaded from the store flies nothing until a faulty miss
+//     asks for its onset snapshot, then only the prefix; that snapshot and
+//     the one taken in flight hold the same vehicle state and neither
+//     carries the recorded trajectory.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,6 +128,45 @@ TEST(CampaignForkInvariants, ForkOfAChargedGoldDonorRecordsTheSameViolations) {
     sensor_failsafes += full.result.failsafe_reason == nav::FailsafeReason::kSensorFault;
   }
   EXPECT_GT(sensor_failsafes, 0) << "no run reached the failsafe-latency invariant";
+}
+
+TEST(GoldReference, AStoredGoldRunRecapturesItsOnsetOnlyWhenAsked) {
+  const std::string dir = ::testing::TempDir() + "uavres_gold_reference";
+  std::filesystem::remove_all(dir);
+  ResultStore store(dir);
+  const uav::RunConfig run;
+  const uav::ExperimentSpec spec{SharedValenciaScenario()[0], 0, std::nullopt, 2024, nullptr};
+  const GoldRun flown = RunGold(store, run, spec, kInjectionStartS);
+  ASSERT_FALSE(flown.hit);
+
+  const std::uint64_t stepped0 = Counter("sim.steps_stepped");
+  const GoldRun loaded = RunGold(store, run, spec, kInjectionStartS);
+  ASSERT_TRUE(loaded.hit);
+  EXPECT_EQ(Bytes(loaded.result), Bytes(flown.result));
+  EXPECT_EQ(loaded.reference->path().Points(), flown.reference->path().Points());
+  const sim::Snapshot* in_flight = flown.reference->Onset();
+  EXPECT_EQ(Counter("sim.steps_stepped"), stepped0) << "a stored gold run flew before a fork";
+  const sim::Snapshot* recaptured = loaded.reference->Onset();
+  EXPECT_EQ(Counter("sim.steps_stepped") - stepped0, OnsetSteps())
+      << "the recapture flew more than the prefix";
+  EXPECT_EQ(loaded.reference->Onset(), recaptured) << "the onset was recaptured twice";
+
+  ASSERT_NE(in_flight, nullptr);
+  ASSERT_NE(recaptured, nullptr);
+  EXPECT_EQ(recaptured->step_count, in_flight->step_count);
+  ASSERT_EQ(recaptured->sections.size(), in_flight->sections.size());
+  for (std::size_t i = 0; i < in_flight->sections.size(); ++i) {
+    const sim::SnapshotSection& a = in_flight->sections[i];
+    const sim::SnapshotSection& b = recaptured->sections[i];
+    EXPECT_NE(a.id, static_cast<std::uint32_t>(uav::SnapshotSectionId::kTrajectory))
+        << "no fork reads the recorded trajectory";
+    ASSERT_EQ(a.id, b.id);
+    // The harness sections differ in the recording cursor alone: the
+    // recapture records nothing.
+    if (a.id != static_cast<std::uint32_t>(uav::SnapshotSectionId::kHarness)) {
+      EXPECT_EQ(a.bytes, b.bytes) << "section " << a.id;
+    }
+  }
 }
 
 }  // namespace

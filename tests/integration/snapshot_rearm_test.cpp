@@ -172,5 +172,30 @@ TEST(SnapshotRearm, TwoWindowRearmSurvivesSnapshotBoundaryAndReplay) {
   EXPECT_EQ(replay->max_pos_err_m, 0.0);
 }
 
+// Known defect, open in ROADMAP: after a 1 s IMU freeze the detector should
+// stand down once its evidence clears, as it does at t≈22.6 at seed base
+// 2025 (above), but at seed base 2024 it stays confirmed past t = 400 and
+// holds the failover for the rest of the flight:
+// ImuFaultDetector::ObserveInnovations restarts its quiet timer while any
+// CUSUM or plausibility charge remains. The test states the intended
+// behaviour and fails today, so it is disabled until the detector is mended
+// (run it with --gtest_also_run_disabled_tests).
+TEST(DetectorStandDown, DISABLED_OneSecondFreezeStandsDownBeforeTheSecondWindowAtSeedBase2024) {
+  const auto& spec = core::SharedValenciaScenario()[kMission];
+  uav::UavConfig cfg = uav::MakeUavConfig(spec);
+  cfg.detector.enabled = true;
+  uav::Uav u(cfg, spec.plan, WindowFault(kWindow1Start), uav::ExperimentSeed(2024, kMission));
+  bool confirmed = false;
+  while (u.time() < kWindow2Start &&
+         !(confirmed && u.detector().state() == estimation::DetectorState::kRecovered)) {
+    u.Step();
+    confirmed = confirmed || u.detector().state() == estimation::DetectorState::kConfirmed;
+  }
+  ASSERT_TRUE(confirmed) << "the freeze was never confirmed";
+  EXPECT_EQ(u.detector().state(), estimation::DetectorState::kRecovered)
+      << "still " << estimation::ToString(u.detector().state()) << " at t = " << u.time()
+      << " s, " << kWindow2Start - kWindow1Start - kWindowLen << " s after the freeze ended";
+}
+
 }  // namespace
 }  // namespace uavres

@@ -45,6 +45,10 @@ std::string MakeCacheDir(const char* tag) {
   return dir;
 }
 
+std::uint64_t Counter(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
 WireSpec FaultySpec(int mission, std::uint8_t type = 3 /*kRandom*/,
                     double duration_s = 10.0) {
   WireSpec s;
@@ -312,6 +316,8 @@ TEST(ServeServer, AnswersOfflineCampaignFromTheStore) {
     w.magnitude = grid[i].magnitude;
   }
 
+  // Nothing is simulated: not the gold run, and not its onset prefix either.
+  const std::uint64_t stepped0 = Counter("sim.steps_stepped");
   ServerConfig cfg;
   cfg.cache_dir = dir;
   TestServer server(cfg);
@@ -331,6 +337,7 @@ TEST(ServeServer, AnswersOfflineCampaignFromTheStore) {
   const auto stats = server->stats();
   EXPECT_EQ(stats.computed, 0u);
   EXPECT_EQ(stats.gold_computed, 0u);
+  EXPECT_EQ(Counter("sim.steps_stepped"), stepped0);
 }
 
 TEST(ServeServer, StoredGoldIsRecapturedAsAPrefixAndColdFaultyRepliesFork) {
@@ -355,11 +362,8 @@ TEST(ServeServer, StoredGoldIsRecapturedAsAPrefixAndColdFaultyRepliesFork) {
     specs[i] = FaultySpec(0, static_cast<std::uint8_t>(grid[i].type), grid[i].duration_s);
     specs[i].fault_target = static_cast<std::uint8_t>(grid[i].target);
   }
-  const auto counter = [](const char* name) {
-    return telemetry::MetricsRegistry::Global().GetCounter(name).Value();
-  };
-  const std::uint64_t steps0 = counter("sim.steps");
-  const std::uint64_t stepped0 = counter("sim.steps_stepped");
+  const std::uint64_t steps0 = Counter("sim.steps");
+  const std::uint64_t stepped0 = Counter("sim.steps_stepped");
 
   ServerConfig cfg;
   cfg.cache_dir = dir;
@@ -383,7 +387,7 @@ TEST(ServeServer, StoredGoldIsRecapturedAsAPrefixAndColdFaultyRepliesFork) {
   // Each fork skips one prefix; the recapture flies exactly one, and no
   // full gold run adds its steps (sim.steps counts only finished runs).
   const std::uint64_t prefix = 22'500;  // 90 s at 250 Hz
-  EXPECT_EQ((counter("sim.steps") - steps0) - (counter("sim.steps_stepped") - stepped0),
+  EXPECT_EQ((Counter("sim.steps") - steps0) - (Counter("sim.steps_stepped") - stepped0),
             (specs.size() - 1) * prefix);
 }
 

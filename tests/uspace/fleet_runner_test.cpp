@@ -129,9 +129,12 @@ TEST(FleetRunner, LateralFaultCreatesConflict) {
   fault.duration_s = 30.0;
   cfg.fault = fault;
   cfg.faulted_drone = 1;
-  // Whether the faulted drone closes in on a neighbour before it fails safe
-  // or crashes depends on its sensor noise: seed base 2026 does, at the
-  // current seeding and at the one before the fault left the vehicle seed.
+  // The seed base is chosen: whether the faulted drone closes in on a
+  // neighbour before it fails safe or crashes depends on its sensor noise,
+  // and 2 of the 6 seed bases 2024-2029 meet these assertions. 2026 does,
+  // both at the current seeding and at the one before the fault left the
+  // vehicle seed (at 2024 the drone now fails safe 21.2 m from its
+  // neighbour).
   const auto out = FleetRunner(cfg).Run(fleet, 2026);
   EXPECT_GE(out.conflicts.conflicts, 1);
   EXPECT_LT(out.conflicts.min_separation_m, 15.0);
